@@ -33,7 +33,6 @@ from .model import (
     Ridge,
     Scad,
     ScadParameterError,
-    SingularSystemError,
     SolverConfig,
     SolverReport,
     SolverStatus,

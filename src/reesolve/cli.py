@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
@@ -245,7 +243,8 @@ def _build_problem(args) -> tuple[EstimatingProblem, dict, Path]:
 
 
 def _config_from_args(args, doc: dict) -> SolverConfig:
-    values = dict(doc.get("config", {}))
+    # reports never hold the iterate matrix, so keep it only on request
+    values = {"record_iterates": False, **doc.get("config", {})}
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -383,13 +382,6 @@ def cmd_solve(args) -> int:
 # path
 # ---------------------------------------------------------------------------
 
-def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("REE_SOLVE_JOBS")
-    return max(1, int(env)) if env else 1
-
-
 def cmd_path(args) -> int:
     problem, doc, _ = _build_problem(args)
     config = _config_from_args(args, doc)
@@ -403,21 +395,8 @@ def cmd_path(args) -> int:
         lams = list(np.geomspace(lmax, lmax / 100.0, args.auto_grid))
     else:
         raise ValidationError("give --lambdas or --auto-grid")
-    warm = not args.cold
-    jobs = _resolve_jobs(args)
-
-    if warm or jobs == 1:
-        entries = solve_path(problem, lams, config, method=args.method,
-                             init=init, L=args.lipschitz, warm_start=warm)
-    else:
-        def one(lam: float):
-            sub = replace(problem, lam=lam)
-            return run_solver(sub, config, init.copy(), args.method,
-                              L=args.lipschitz)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, lams))
-        from .solvers import PathEntry
-        entries = [PathEntry(lam, rep) for lam, rep in zip(lams, reports)]
+    entries = solve_path(problem, lams, config, method=args.method,
+                         init=init, L=args.lipschitz, warm_start=not args.cold)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -427,15 +406,19 @@ def cmd_path(args) -> int:
         report = entry.report
         sub = replace(problem, lam=entry.lam)
         tau = _certificate_tau(sub, report)
-        try:
-            kkt = kkt_residual(sub, report.solution).max_residual
-            kkt_text = _fmt(kkt)
-        except (UnsupportedPenaltyError, ReesolveError):
-            kkt_text = ""
         sub_doc = dict(doc)
         sub_doc["lambda"] = entry.lam
         certs = _certificates(sub, report.solution, tau,
                               args.vi_samples, args.vi_radius, args.seed)
+        # the summary column reuses the certificate's KKT value; at lambda 0
+        # the certificates skip KKT, but the column still reports it
+        kkt = certs["kkt"]["max_residual"] if certs["kkt"] is not None else None
+        if sub.lam == 0.0:
+            try:
+                kkt = kkt_residual(sub, report.solution).max_residual
+            except ReesolveError:
+                pass
+        kkt_text = "" if kkt is None else _fmt(kkt)
         with open(out_dir / f"report_{i:03d}.json", "w") as fh:
             json.dump(_report_to_dict(report, sub_doc, certs), fh, indent=2)
         summary_rows.append(
@@ -468,9 +451,11 @@ def cmd_check(args) -> int:
         with open(args.report) as fh:
             rep = json.load(fh)
         beta = as_coefficients(rep["solution"], problem.u.dim)
-        stored = rep.get("certificates", {})
-        tau = float(stored.get("fixed_point", {}).get("tau", args.tau or 1.0))
-        vi_stored = stored.get("vi_probe", {})
+        # a block stored as null (certificate not applicable) counts as absent
+        stored = rep.get("certificates") or {}
+        fp_stored = stored.get("fixed_point") or {}
+        tau = float(fp_stored.get("tau", args.tau or 1.0))
+        vi_stored = stored.get("vi_probe") or {}
         samples = int(vi_stored.get("samples", args.vi_samples))
         radius = float(vi_stored.get("radius", args.vi_radius))
         seed = int(vi_stored.get("seed", args.seed))
@@ -588,9 +573,9 @@ def _bench_cell(cell: dict) -> dict:
 def bench_rows(manifest: dict) -> list[dict]:
     """Expand a benchmark manifest into its cell matrix and run every cell.
 
-    BLAS thread pools are pinned to one thread for the duration of the run
-    (set ``"pin_blas_threads": false`` to opt out): per-cell wall times stay
-    reproducible and cells do not fight over cores when run concurrently.
+    Cells run one after another. BLAS thread pools are pinned to one thread
+    for the duration of the run (set ``"pin_blas_threads": false`` to opt
+    out), so per-cell wall times stay reproducible.
     """
     def listify(v):
         return v if isinstance(v, list) else [v]
@@ -602,17 +587,12 @@ def bench_rows(manifest: dict) -> list[dict]:
             listify(manifest.get("solver", "picard")),
             listify(manifest.get("seed", 0))):
         cell = {k: v for k, v in manifest.items()
-                if k not in ("p", "penalty", "solver", "seed", "schema_version",
-                             "jobs")}
+                if k not in ("p", "penalty", "solver", "seed", "schema_version")}
         cell.update(p=int(p), n=int(manifest.get("n", 100)), penalty=pen,
                     solver=solver, seed=int(seed))
         cells.append(cell)
-    jobs = int(manifest.get("jobs", 1))
 
     def run_cells() -> list[dict]:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_bench_cell, cells))
         return [_bench_cell(cell) for cell in cells]
 
     if manifest.get("pin_blas_threads", True):
@@ -636,8 +616,6 @@ def cmd_bench(args) -> int:
     if "schema_version" not in manifest:
         raise ValidationError(
             f"manifest {args.manifest} is missing 'schema_version'")
-    if getattr(args, "jobs", None) is not None or os.environ.get("REE_SOLVE_JOBS"):
-        manifest["jobs"] = _resolve_jobs(args)
     rows = bench_rows(manifest)
     with open(args.out, "w") as fh:
         fh.write(",".join(BENCH_COLUMNS) + "\n")
@@ -732,9 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="log-spaced grid size from lambda_max down two decades")
     pp.add_argument("--cold", action="store_true",
                     help="cold-start every lambda (default: warm start)")
-    pp.add_argument("--jobs", type=int,
-                    help="parallel lambdas in cold mode (default: "
-                         "REE_SOLVE_JOBS or 1)")
     pp.add_argument("--init", help="initial point CSV")
     pp.add_argument("--out-dir", dest="out_dir", default="path_out")
     pp.set_defaults(func=cmd_path)
@@ -753,8 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp = subs.add_parser("bench", help="run a benchmark matrix")
     bp.add_argument("--manifest", required=True, help="benchmark manifest JSON")
     bp.add_argument("--out", default="bench.csv", help="output CSV")
-    bp.add_argument("--jobs", type=int,
-                    help="concurrent cells (default: REE_SOLVE_JOBS or 1)")
     bp.set_defaults(func=cmd_bench)
     return parser
 

@@ -246,8 +246,6 @@ def lipschitz_upper_bound(f: EstimatingFunction) -> Optional[float]:
     of X^T X (both via power iteration, relative tolerance 1e-6, at most 1000
     iterations); anything else falls back to a declared constant.
     """
-    if isinstance(f, (LinearEstimating, LeastSquaresEstimating)):
-        return f.lipschitz
     return f.lipschitz
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class UnsupportedPenaltyError(ReesolveError):
 
 
 class JacobianUnavailableError(ReesolveError):
-    pass
-
-
-class SingularSystemError(ReesolveError):
     pass
 
 
@@ -433,7 +429,9 @@ class SolverReport:
     ``initial_residual`` is the residual at the starting point (k = 0).
     ``iterates`` (when recorded) stacks the points row-wise, row k being the
     iterate after k updates, so it has ``iterations + 1`` rows. ``anchors``
-    holds the auxiliary anchor sequence of the golden-ratio solvers.
+    holds the auxiliary anchor sequence of the golden-ratio solvers, recorded
+    alongside the iterates (row 0 is the starting anchor, row k the anchor
+    iterate k was stepped from), so it also has ``iterations + 1`` rows.
     """
 
     method: str
@@ -456,7 +454,3 @@ class SolverReport:
         """Residual sequence including the starting point (index 0)."""
         return np.array([self.initial_residual]
                         + [rec.fp_residual for rec in self.trace])
-
-
-PenaltyLike = Union[Ridge, Lasso, ElasticNet, GroupLasso, SparseGroupLasso,
-                    BallIndicator, Scad]

@@ -186,7 +186,10 @@ def project_ball(ball: BallConstraint, y) -> np.ndarray:
     css = np.cumsum(mags)
     ks = np.arange(1, y.size + 1)
     candidates = (css - r) / ks
-    rho = int(np.nonzero(mags > candidates)[0].max())
+    above = np.nonzero(mags > candidates)[0]
+    # index 0 always qualifies in exact arithmetic; when r is below the
+    # rounding unit of the largest magnitude, no index does in floating point
+    rho = int(above.max()) if above.size else 0
     theta = candidates[rho]
     return soft_threshold(y, theta)
 

@@ -48,7 +48,7 @@ from .model import (
     as_coefficients,
     validate_problem,
 )
-from .penalties import project_ball, prox, scad_derivative
+from .penalties import lqa_weight_diag, project_ball, prox
 
 __all__ = [
     "solve_picard",
@@ -65,8 +65,6 @@ __all__ = [
 ]
 
 DIVERGENCE_RESIDUAL = 1e12
-
-SOLVER_NAMES = ("picard", "km", "gra-fixed", "gra-adaptive", "lqa-newton")
 
 
 def lambda_max(u: EstimatingFunction) -> float:
@@ -87,25 +85,32 @@ def _resolve_tau(problem: EstimatingProblem, config: SolverConfig) -> float:
 
 
 class _Run:
-    """Shared bookkeeping: trace, iterate recording, status decisions."""
+    """Shared bookkeeping: trace, iterate and anchor recording, report."""
 
-    def __init__(self, method: str, config: SolverConfig, init: np.ndarray):
+    def __init__(self, method: str, config: SolverConfig, init: np.ndarray,
+                 anchor: Optional[np.ndarray] = None):
         self.method = method
         self.config = config
         self.trace: list[IterationRecord] = []
         self.iterates: Optional[list[np.ndarray]] = (
             [init.copy()] if config.record_iterates else None)
+        self.anchors: Optional[list[np.ndarray]] = (
+            [anchor.copy()] if config.record_iterates and anchor is not None
+            else None)
         self.flags: tuple[str, ...] = ()
 
     def record(self, k: int, residual: float, step: float,
-               beta: np.ndarray, theta: Optional[float] = None) -> None:
+               beta: np.ndarray, theta: Optional[float] = None,
+               anchor: Optional[np.ndarray] = None) -> None:
         self.trace.append(IterationRecord(k, residual, step, theta))
         if self.iterates is not None:
             self.iterates.append(beta.copy())
+        if self.anchors is not None:
+            self.anchors.append(anchor.copy())
 
     def report(self, status: SolverStatus, solution: np.ndarray,
-               initial_residual: float, stepsize: Optional[float],
-               anchors: Optional[list[np.ndarray]] = None) -> SolverReport:
+               initial_residual: float,
+               stepsize: Optional[float]) -> SolverReport:
         return SolverReport(
             method=self.method,
             status=status,
@@ -117,7 +122,7 @@ class _Run:
             stepsize=stepsize,
             flags=self.flags,
             iterates=None if self.iterates is None else np.vstack(self.iterates),
-            anchors=None if anchors is None else np.vstack(anchors),
+            anchors=None if self.anchors is None else np.vstack(self.anchors),
         )
 
 
@@ -126,55 +131,76 @@ def _bad(residual: float, beta: np.ndarray) -> bool:
             or residual > DIVERGENCE_RESIDUAL)
 
 
-def _averaged_iteration(problem: EstimatingProblem, config: SolverConfig,
-                        init, mix: float, method: str) -> SolverReport:
-    validate_problem(problem)
-    tau = _resolve_tau(problem, config)
-    scale = tau * problem.lam
-    beta = as_coefficients(init, problem.u.dim).copy()
-    run = _Run(method, config, beta)
+def _first_order_loop(method: str, problem: EstimatingProblem,
+                      config: SolverConfig, beta: np.ndarray, steps,
+                      anchor: Optional[np.ndarray] = None,
+                      final_prox_image: bool = False) -> SolverReport:
+    """The iteration loop shared by picard, km and both golden-ratio solvers.
 
-    def f(b: np.ndarray) -> np.ndarray:
-        return prox(problem.penalty, b - tau * evaluate(problem.u, b), scale)
-
+    ``steps`` is the method's generator. It yields ``(beta, t, theta,
+    anchor)`` for every point, the starting point first, where ``t`` is the
+    stepsize that produced the point (at the start, the one its residual is
+    measured with). It is then sent ``(u, fb)``: ``u = U(beta)`` and the
+    prox image ``fb = prox_{t*lam*Omega}(beta - t*u)``, whose distance to
+    ``beta`` is the fixed-point residual. Everything else lives here: the
+    divergence guard, the trace and recordings, the tolerance test and
+    ``max_iter``. A non-finite value anywhere in an iteration ends the run
+    as diverged, reporting the last point the method produced.
+    """
+    run = _Run(method, config, beta, anchor)
+    status, t, r0 = SolverStatus.MAX_ITER_REACHED, None, math.inf
     try:
-        fbeta = f(beta)
+        beta, t, theta, anchor = next(steps)
+        u = evaluate(problem.u, beta)
+        fb = prox(problem.penalty, beta - t * u, t * problem.lam)
+        r0 = float(np.linalg.norm(fb - beta))
+        if r0 <= config.tol:
+            return run.report(SolverStatus.CONVERGED, beta, r0, t)
+        for k in range(1, config.max_iter + 1):
+            beta, t, theta, anchor = steps.send((u, fb))
+            u = evaluate(problem.u, beta)
+            fb = prox(problem.penalty, beta - t * u, t * problem.lam)
+            r = float(np.linalg.norm(fb - beta))
+            if _bad(r, beta):
+                status = SolverStatus.DIVERGED
+                break
+            run.record(k, r, t, beta, theta, anchor)
+            if r <= config.tol:
+                status = SolverStatus.CONVERGED
+                break
     except NonFiniteOutputError:
-        return run.report(SolverStatus.DIVERGED, beta, math.inf, tau)
-    r0 = float(np.linalg.norm(fbeta - beta))
-    if r0 <= config.tol:
-        return run.report(SolverStatus.CONVERGED, beta, r0, tau)
-
-    status = SolverStatus.MAX_ITER_REACHED
-    k = 0
-    for k in range(1, config.max_iter + 1):
-        beta = (1.0 - mix) * beta + mix * fbeta
-        try:
-            fbeta = f(beta)
-        except NonFiniteOutputError:
-            status = SolverStatus.DIVERGED
-            break
-        r = float(np.linalg.norm(fbeta - beta))
-        if _bad(r, beta):
-            status = SolverStatus.DIVERGED
-            break
-        run.record(k, r, tau, beta)
-        if r <= config.tol:
-            status = SolverStatus.CONVERGED
-            break
-    if status is SolverStatus.CONVERGED and mix < 1.0:
+        status = SolverStatus.DIVERGED
+    if status is SolverStatus.CONVERGED and final_prox_image:
         # averaged iterates never hit the prox manifold exactly, so zero
         # coordinates stay dirty; take the final prox image when its own
         # residual also meets the tolerance (one plain fixed-point step)
         try:
-            f_next = f(fbeta)
-            r_next = float(np.linalg.norm(f_next - fbeta))
+            f_next = prox(problem.penalty, fb - t * evaluate(problem.u, fb),
+                          t * problem.lam)
+            r_next = float(np.linalg.norm(f_next - fb))
             if r_next <= config.tol:
-                run.record(k + 1, r_next, tau, fbeta)
-                beta = fbeta
+                run.record(k + 1, r_next, t, fb)
+                beta = fb
         except NonFiniteOutputError:
             pass
-    return run.report(status, beta, r0, tau)
+    return run.report(status, beta, r0, t)
+
+
+def _averaged_steps(beta: np.ndarray, tau: float, mix: float):
+    """Steps ``beta <- (1-mix)*beta + mix*f(beta)`` with a fixed stepsize."""
+    while True:
+        _, fb = yield beta, tau, None, None
+        beta = (1.0 - mix) * beta + mix * fb
+
+
+def _averaged_iteration(problem: EstimatingProblem, config: SolverConfig,
+                        init, mix: float, method: str) -> SolverReport:
+    validate_problem(problem)
+    tau = _resolve_tau(problem, config)
+    beta = as_coefficients(init, problem.u.dim).copy()
+    return _first_order_loop(method, problem, config, beta,
+                             _averaged_steps(beta, tau, mix),
+                             final_prox_image=mix < 1.0)
 
 
 def solve_picard(problem: EstimatingProblem, config: SolverConfig,
@@ -211,6 +237,48 @@ def _unpack_pair(init, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
     return beta, beta.copy(), False
 
 
+def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
+                        beta: np.ndarray, bbar: np.ndarray,
+                        t: Optional[float] = None,
+                        beta_prev: Optional[np.ndarray] = None,
+                        t_bar: float = math.inf):
+    """Anchored golden-ratio steps, shared by the fixed and adaptive solvers.
+
+    Each step pulls the anchor toward the iterate,
+    ``bbar <- ((psi-1)*beta + bbar)/psi``, then steps
+    ``beta <- prox_{t*lam*Omega}(bbar - t*U(beta))``. Given ``t``, the
+    stepsize stays fixed; given ``beta_prev`` instead, it adapts as described
+    in :func:`solve_gra_adaptive` and every point carries its ``theta``.
+    """
+    adaptive = beta_prev is not None
+    theta = None
+    if adaptive:
+        rho = 1.0 / psi + 1.0 / psi ** 2
+        u_prev = evaluate(problem.u, beta_prev)
+        # the loop evaluates U at the starting point again: one extra call
+        # per solve keeps every point's evaluation inside the loop
+        u = evaluate(problem.u, beta)
+        du = float(np.linalg.norm(u - u_prev))
+        t = (float(np.linalg.norm(beta - beta_prev)) / du
+             if du > 0.0 else t_bar)
+        theta = 1.0
+    while True:
+        u, _ = yield beta, t, theta, bbar
+        if adaptive:
+            db2 = float(np.linalg.norm(beta - beta_prev) ** 2)
+            du2 = float(np.linalg.norm(u - u_prev) ** 2)
+            if du2 > 0.0:
+                t_next = min(rho * t, psi * theta / (4.0 * t) * db2 / du2,
+                             t_bar)
+            else:
+                t_next = min(rho * t, t_bar)
+            theta = psi * t_next / t
+            t = t_next
+            beta_prev, u_prev = beta, u
+        bbar = ((psi - 1.0) * beta + bbar) / psi
+        beta = prox(problem.penalty, bbar - t * u, t * problem.lam)
+
+
 def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
                     L: float, init) -> SolverReport:
     """Golden-ratio scheme with a fixed stepsize.
@@ -227,7 +295,8 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
 
     Notes
     -----
-    Each iteration pulls the anchor toward the iterate,
+    This is the recursion of :func:`solve_gra_adaptive` with a constant step
+    t and ``psi = phi``: each iteration pulls the anchor toward the iterate,
     ``bbar <- ((phi-1)*beta + bbar)/phi``, then steps
     ``beta <- prox_{t*lam*Omega}(bbar - t*U(beta))``. Convergence for
     monotone, L-Lipschitz U; the residual is the fixed-point residual with
@@ -237,46 +306,16 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     validate_problem(problem)
     if not (L > 0.0 and math.isfinite(L)):
         raise ValidationError(f"L must be positive and finite, got {L}")
-    phi = GOLDEN_RATIO
-    bound = phi / (2.0 * L)
+    bound = GOLDEN_RATIO / (2.0 * L)
     t = config.step if config.step is not None else bound
     if not (0.0 < t <= bound * (1.0 + 1e-12)):
         raise StepOutOfRangeError(
             f"step {t} outside the admissible range (0, {bound}] for L={L}")
-    scale = t * problem.lam
     beta, bbar, _ = _unpack_pair(init, problem.u.dim)
-    run = _Run("gra-fixed", config, beta)
-    anchors = [bbar.copy()] if config.record_iterates else None
-
-    try:
-        u = evaluate(problem.u, beta)
-    except NonFiniteOutputError:
-        return run.report(SolverStatus.DIVERGED, beta, math.inf, t)
-    r0 = float(np.linalg.norm(prox(problem.penalty, beta - t * u, scale) - beta))
-    if r0 <= config.tol:
-        return run.report(SolverStatus.CONVERGED, beta, r0, t, anchors)
-
-    status = SolverStatus.MAX_ITER_REACHED
-    for k in range(1, config.max_iter + 1):
-        bbar = ((phi - 1.0) * beta + bbar) / phi
-        beta = prox(problem.penalty, bbar - t * u, scale)
-        if anchors is not None:
-            anchors.append(bbar.copy())
-        try:
-            u = evaluate(problem.u, beta)
-        except NonFiniteOutputError:
-            status = SolverStatus.DIVERGED
-            break
-        r = float(np.linalg.norm(
-            prox(problem.penalty, beta - t * u, scale) - beta))
-        if _bad(r, beta):
-            status = SolverStatus.DIVERGED
-            break
-        run.record(k, r, t, beta)
-        if r <= config.tol:
-            status = SolverStatus.CONVERGED
-            break
-    return run.report(status, beta, r0, t, anchors)
+    return _first_order_loop(
+        "gra-fixed", problem, config, beta,
+        _golden_ratio_steps(problem, GOLDEN_RATIO, beta, bbar, t=t),
+        anchor=bbar)
 
 
 def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
@@ -307,9 +346,6 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
     residual uses the current ``t_k`` as the prox scale.
     """
     validate_problem(problem)
-    psi = config.psi
-    rho = 1.0 / psi + 1.0 / psi ** 2
-    t_bar = config.t_bar
     beta_prev, beta, was_pair = _unpack_pair(init, problem.u.dim)
     if not was_pair:
         offset = 1e-3 * (1.0 + float(np.linalg.norm(beta)))
@@ -317,57 +353,12 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
     if np.array_equal(beta_prev, beta):
         raise DegenerateInitError(
             "adaptive stepsizes need two distinct starting points")
-    run = _Run("gra-adaptive", config, beta)
     bbar = beta.copy()
-    anchors = [bbar.copy()] if config.record_iterates else None
-
-    try:
-        u_prev = evaluate(problem.u, beta_prev)
-        u = evaluate(problem.u, beta)
-    except NonFiniteOutputError:
-        return run.report(SolverStatus.DIVERGED, beta, math.inf, None)
-    du = float(np.linalg.norm(u - u_prev))
-    t_prev = (float(np.linalg.norm(beta - beta_prev)) / du
-              if du > 0.0 else t_bar)
-    theta_prev = 1.0
-
-    r0 = float(np.linalg.norm(
-        prox(problem.penalty, beta - t_prev * u, t_prev * problem.lam) - beta))
-    if r0 <= config.tol:
-        return run.report(SolverStatus.CONVERGED, beta, r0, t_prev, anchors)
-
-    status = SolverStatus.MAX_ITER_REACHED
-    t = t_prev
-    for k in range(1, config.max_iter + 1):
-        db2 = float(np.linalg.norm(beta - beta_prev) ** 2)
-        du2 = float(np.linalg.norm(u - u_prev) ** 2)
-        if du2 > 0.0:
-            t = min(rho * t_prev, psi * theta_prev / (4.0 * t_prev) * db2 / du2,
-                    t_bar)
-        else:
-            t = min(rho * t_prev, t_bar)
-        bbar = ((psi - 1.0) * beta + bbar) / psi
-        beta_prev, u_prev = beta, u
-        beta = prox(problem.penalty, bbar - t * u, t * problem.lam)
-        if anchors is not None:
-            anchors.append(bbar.copy())
-        theta_prev = psi * t / t_prev
-        t_prev = t
-        try:
-            u = evaluate(problem.u, beta)
-        except NonFiniteOutputError:
-            status = SolverStatus.DIVERGED
-            break
-        r = float(np.linalg.norm(
-            prox(problem.penalty, beta - t * u, t * problem.lam) - beta))
-        if _bad(r, beta):
-            status = SolverStatus.DIVERGED
-            break
-        run.record(k, r, t, beta, theta=theta_prev)
-        if r <= config.tol:
-            status = SolverStatus.CONVERGED
-            break
-    return run.report(status, beta, r0, t, anchors)
+    return _first_order_loop(
+        "gra-adaptive", problem, config, beta,
+        _golden_ratio_steps(problem, config.psi, beta, bbar,
+                            beta_prev=beta_prev, t_bar=config.t_bar),
+        anchor=bbar)
 
 
 def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
@@ -399,15 +390,11 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
     if design is not None and p > design.shape[0]:
         run.flags = ("cubic-cost-p-exceeds-n",)
 
-    if lam > 0.0 and isinstance(pen, Scad):
-        def weights(b_abs: np.ndarray) -> np.ndarray:
-            return scad_derivative(b_abs, lam, pen.a) / (b_abs + eps)
-    elif lam > 0.0:
-        def weights(b_abs: np.ndarray) -> np.ndarray:
-            return lam / (b_abs + eps)
-    else:
-        def weights(b_abs: np.ndarray) -> np.ndarray:
-            return np.zeros(b_abs.size)
+    def weights(b: np.ndarray) -> np.ndarray:
+        if lam > 0.0:
+            return lqa_weight_diag(pen, b, lam, eps)
+        # scad_derivative rejects lam = 0, where every weight vanishes
+        return np.zeros(p)
 
     def finish(status: SolverStatus, b: np.ndarray, r0: float) -> SolverReport:
         if status in (SolverStatus.CONVERGED, SolverStatus.MAX_ITER_REACHED):
@@ -416,7 +403,7 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
         return run.report(status, b, r0, None)
 
     try:
-        w = weights(np.abs(beta))
+        w = weights(beta)
         q = evaluate(u_fn, beta) + w * beta
     except NonFiniteOutputError:
         return run.report(SolverStatus.DIVERGED, beta, math.inf, None)
@@ -444,7 +431,7 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
             status = SolverStatus.DIVERGED
             break
         u_val = u_fn(beta)
-        w = weights(np.abs(beta))
+        w = weights(beta)
         q = u_val + w * beta
         r = float(np.linalg.norm(q))
         if _bad(r, beta):
@@ -458,6 +445,38 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
         J = (J_next if J_next is not None
              else jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian))
     return finish(status, beta, r0)
+
+
+def _projected_start(ball, init, dim: int):
+    """Project a start (one vector or a pair) onto the ball."""
+    a, b, was_pair = _unpack_pair(init, dim)
+    a, b = project_ball(ball, a), project_ball(ball, b)
+    # a pair projected onto one point is a single start, which gra-adaptive
+    # re-perturbs instead of rejecting as degenerate
+    return (a, b) if was_pair and not np.array_equal(a, b) else b
+
+
+def _solve_gra_fixed_derived_L(problem: EstimatingProblem,
+                               config: SolverConfig, init,
+                               L: Optional[float]) -> SolverReport:
+    if L is None:
+        L = lipschitz_upper_bound(problem.u)
+    if L is None:
+        raise StepOutOfRangeError(
+            "gra-fixed needs a Lipschitz constant; none was given or "
+            "derivable — pass L or use gra-adaptive")
+    return solve_gra_fixed(problem, config, L, init)
+
+
+# method name -> solve(problem, config, init, L); only gra-fixed uses L
+_SOLVERS = {
+    "picard": lambda pr, cfg, init, L: solve_picard(pr, cfg, init),
+    "km": lambda pr, cfg, init, L: solve_km(pr, cfg, init),
+    "gra-fixed": _solve_gra_fixed_derived_L,
+    "gra-adaptive": lambda pr, cfg, init, L: solve_gra_adaptive(pr, cfg, init),
+    "lqa-newton": lambda pr, cfg, init, L: solve_lqa_newton(pr, cfg, init),
+}
+SOLVER_NAMES = tuple(_SOLVERS)
 
 
 def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
@@ -475,32 +494,11 @@ def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
     if not isinstance(problem.penalty, BallIndicator):
         raise UnsupportedPenaltyError(
             "constrained solving needs a BallIndicator penalty")
-    ball = problem.penalty.ball
-    work = replace(problem, lam=1.0)
     name = method.lower()
-    if name in ("picard", "km"):
-        start = project_ball(ball, as_coefficients(init, problem.u.dim))
-        if name == "picard":
-            return solve_picard(work, config, start)
-        return solve_km(work, config, start)
-    if name == "gra-fixed":
-        if L is None:
-            L = lipschitz_upper_bound(problem.u)
-        if L is None:
-            raise StepOutOfRangeError(
-                "gra-fixed needs a Lipschitz constant; none was given or "
-                "derivable — pass L or use gra-adaptive")
-        a, b, was_pair = _unpack_pair(init, problem.u.dim)
-        a, b = project_ball(ball, a), project_ball(ball, b)
-        return solve_gra_fixed(work, config, L, (a, b) if was_pair else a)
-    if name == "gra-adaptive":
-        a, b, was_pair = _unpack_pair(init, problem.u.dim)
-        a, b = project_ball(ball, a), project_ball(ball, b)
-        if np.array_equal(a, b):
-            # single init or both projected to the same point: re-perturb
-            return solve_gra_adaptive(work, config, b)
-        return solve_gra_adaptive(work, config, (a, b))
-    raise ValidationError(f"unknown projected method {method!r}")
+    if name not in _SOLVERS or name == "lqa-newton":
+        raise ValidationError(f"unknown projected method {method!r}")
+    start = _projected_start(problem.penalty.ball, init, problem.u.dim)
+    return _SOLVERS[name](replace(problem, lam=1.0), config, start, L)
 
 
 def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
@@ -515,7 +513,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
     name = method.lower()
     if name == "lqa":
         name = "lqa-newton"
-    if name not in SOLVER_NAMES:
+    if name not in _SOLVERS:
         raise ValidationError(
             f"unknown method {method!r}; choose one of {', '.join(SOLVER_NAMES)}")
     if isinstance(problem.penalty, BallIndicator):
@@ -523,21 +521,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
             raise UnsupportedPenaltyError(
                 "LQA cannot handle the ball-indicator penalty")
         return solve_constrained(problem, config, init, name, L)
-    if name == "picard":
-        return solve_picard(problem, config, init)
-    if name == "km":
-        return solve_km(problem, config, init)
-    if name == "gra-fixed":
-        if L is None:
-            L = lipschitz_upper_bound(problem.u)
-        if L is None:
-            raise StepOutOfRangeError(
-                "gra-fixed needs a Lipschitz constant; none was given or "
-                "derivable — pass L or use gra-adaptive")
-        return solve_gra_fixed(problem, config, L, init)
-    if name == "gra-adaptive":
-        return solve_gra_adaptive(problem, config, init)
-    return solve_lqa_newton(problem, config, init)
+    return _SOLVERS[name](problem, config, init, L)
 
 
 @dataclass

@@ -40,6 +40,7 @@ def test_solve_end_to_end(lasso_files, capsys):
     for key in ("tau", "rho", "psi", "t_bar", "epsilon_lqa", "zero_threshold"):
         assert key in report["config"]
     assert report["certificates"]["vi_probe"]["seed"] == 0
+    assert report["config"]["record_iterates"] is False
 
 
 def test_solve_with_problem_json_and_groups(tmp_path, capsys):
@@ -55,7 +56,7 @@ def test_solve_with_problem_json_and_groups(tmp_path, capsys):
                        "response": "y.csv"},
         "penalty": {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]},
         "lambda": 0.05,
-        "config": {"tol": 1e-10, "max_iter": 200000},
+        "config": {"tol": 1e-10, "max_iter": 200000, "record_iterates": True},
     }
     (tmp_path / "problem.json").write_text(json.dumps(doc))
     out = tmp_path / "report.json"
@@ -65,6 +66,7 @@ def test_solve_with_problem_json_and_groups(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["problem"]["penalty"]["groups"] == [[1, 2], [3, 4], [5, 6]]
     assert report["status"] == "converged"
+    assert report["config"]["record_iterates"] is True
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -300,16 +302,52 @@ def test_bench_lqa_slower_than_gra_at_p200(tmp_path):
     assert wall["lqa-newton"] > wall["gra-adaptive"]
 
 
-def test_jobs_env_default(tmp_path, monkeypatch, lasso_files):
+def test_path_cold_start(tmp_path, lasso_files):
     tmp, xp, yp, lam = lasso_files
-    monkeypatch.setenv("REE_SOLVE_JOBS", "2")
-    out_dir = tmp_path / "par"
+    out_dir = tmp_path / "cold"
     code = main(["path", "--penalty", "lasso", "--design", xp, "--response", yp,
                  "--lambdas", f"{lam},{lam/2}", "--cold",
                  "--tol", "1e-9", "--out-dir", str(out_dir)])
     assert code == 0
     rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_path_summary_kkt_reuses_certificates(lasso_files):
+    # the grid ends at lambda 0, where the certificates skip KKT but the
+    # summary column still reports it
+    tmp, xp, yp, lam = lasso_files
+    out_dir = tmp / "kkt"
+    assert main(["path", "--penalty", "lasso", "--design", xp, "--response", yp,
+                 "--lambdas", f"{lam},{lam/2},0", "--tol", "1e-10",
+                 "--max-iter", "200000", "--out-dir", str(out_dir)]) == 0
+    rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
+    for i, row in enumerate(rows):
+        certs = json.loads(
+            (out_dir / f"report_{i:03d}.json").read_text())["certificates"]
+        kkt_text = row.split(",")[3]
+        if i < 2:
+            assert float(kkt_text) == certs["kkt"]["max_residual"]
+        else:
+            assert certs["kkt"] is None and float(kkt_text) >= 0.0
+
+
+def test_check_report_with_null_certificates(lasso_files, capsys):
+    # SCAD has no prox, KKT split or penalty value: every stored block is null
+    tmp, xp, yp, lam = lasso_files
+    out = tmp / "scad.json"
+    assert main(["solve", "--method", "lqa", "--penalty", "scad",
+                 "--lambda", str(lam), "--design", xp, "--response", yp,
+                 "--tol", "1e-10", "--max-iter", "500", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report["certificates"].values()) == {None}
+    capsys.readouterr()
+    code = main(["check", "--report", str(out), "--penalty", "scad",
+                 "--design", xp, "--response", yp])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.count("not applicable") == 3
+    assert "Traceback" not in captured.err
 
 
 def test_csv_numbers_round_trip(lasso_files):

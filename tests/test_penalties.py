@@ -292,6 +292,12 @@ class TestProjectBall:
         best = ts[obj.argmin()]
         assert abs(best - 0.5) <= 1e-4
 
+    def test_l1_radius_below_rounding_unit(self):
+        # 1e17 - 1 rounds to 1e17, so no sorted index passes the threshold
+        # test; the projection still lands in the ball instead of raising
+        got = project_ball(BallConstraint("l1", 1.0), [1e17, 0.0, 0.0])
+        assert np.abs(got).sum() <= 1.0
+
     def test_l1_projection_variational_inequality(self):
         # (y - x)^T (z - x) <= 0 for all feasible z characterizes projections
         rng = np.random.default_rng(17)

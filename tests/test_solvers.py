@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import group_ls_instance, lasso_ls_instance, rotation_instance
 
@@ -9,19 +12,25 @@ from reesolve import (
     BallIndicator,
     CustomEstimating,
     DegenerateInitError,
+    ElasticNet,
     EstimatingProblem,
+    GroupLasso,
+    GroupPartition,
     JacobianUnavailableError,
     Lasso,
     LeastSquaresEstimating,
     LinearEstimating,
+    Ridge,
     Scad,
     SolverConfig,
     SolverStatus,
+    SparseGroupLasso,
     StepOutOfRangeError,
     UnsupportedPenaltyError,
     kkt_residual,
     lambda_max,
     oracle_lasso_cd,
+    run_solver,
     solve_constrained,
     solve_gra_adaptive,
     solve_gra_fixed,
@@ -221,6 +230,56 @@ class TestGraAdaptive:
 class TestAnchoredRecursionsExact:
     """Hand-simulated recursions must match the solvers bit for bit."""
 
+    def test_picard_matches_manual_simulation(self):
+        from reesolve import prox
+        X, y, u, lam, prob = lasso_ls_instance(seed=42, n=30, p=6)
+        tau = 1.0 / u.lipschitz
+        cfg = SolverConfig(tol=1e-30, max_iter=6)
+        beta0 = np.random.default_rng(2).standard_normal(6)
+        rep = solve_picard(prob, cfg, beta0.copy())
+        assert rep.status is SolverStatus.MAX_ITER_REACHED
+
+        beta = beta0.copy()
+        fbeta = prox(prob.penalty, beta - tau * u(beta), tau * lam)
+        assert rep.initial_residual == np.linalg.norm(fbeta - beta)
+        for k in range(6):
+            beta = fbeta
+            fbeta = prox(prob.penalty, beta - tau * u(beta), tau * lam)
+            assert np.array_equal(rep.iterates[k + 1], beta)
+            assert rep.trace[k].fp_residual == np.linalg.norm(fbeta - beta)
+            assert rep.trace[k].step == tau
+        assert np.array_equal(rep.solution, beta)
+
+    def test_km_matches_manual_simulation_with_final_prox_image(self):
+        from reesolve import prox
+        X, y, u, lam, prob = lasso_ls_instance(seed=43, n=30, p=6)
+        tau = 1.0 / u.lipschitz
+        rho = 0.5
+        cfg = SolverConfig(tol=1e-8, max_iter=100000, rho=rho)
+        rep = solve_km(prob, cfg, np.zeros(6))
+        assert rep.converged
+
+        def f(b):
+            return prox(prob.penalty, b - tau * u(b), tau * lam)
+
+        beta = np.zeros(6)
+        fbeta = f(beta)
+        k = 0
+        while np.linalg.norm(fbeta - beta) > cfg.tol:
+            beta = (1.0 - rho) * beta + rho * fbeta
+            fbeta = f(beta)
+            k += 1
+            assert np.array_equal(rep.iterates[k], beta)
+            assert rep.trace[k - 1].fp_residual == np.linalg.norm(fbeta - beta)
+        # the averaged iterate is replaced by its prox image, recorded as one
+        # more iteration, because that image's own residual meets tol too
+        f_next = f(fbeta)
+        assert np.linalg.norm(f_next - fbeta) <= cfg.tol
+        assert rep.iterations == k + 1
+        assert rep.trace[k].fp_residual == np.linalg.norm(f_next - fbeta)
+        assert np.array_equal(rep.iterates[k + 1], fbeta)
+        assert np.array_equal(rep.solution, fbeta)
+
     def test_gra_fixed_matches_manual_simulation(self):
         from reesolve import prox
         X, y, u, lam, prob = lasso_ls_instance(seed=40, n=30, p=6)
@@ -271,6 +330,57 @@ class TestAnchoredRecursionsExact:
             assert np.array_equal(rep.iterates[k + 1], beta)
             assert rep.trace[k].step == t
             assert rep.trace[k].theta == theta_prev
+
+
+FIRST_ORDER = ("picard", "km", "gra-fixed", "gra-adaptive")
+PART_22 = GroupPartition([[0, 1], [2, 3]])
+PROPERTY_PENALTIES = (
+    Lasso(), Ridge(), ElasticNet(ratio=0.5), GroupLasso(PART_22),
+    SparseGroupLasso(PART_22, alpha=0.5),
+    BallIndicator(BallConstraint("l1", 1.0)),
+    BallIndicator(BallConstraint("l2", 1.0)),
+)
+
+
+class TestSharedLoop:
+    """Outcomes every first-order method gets from the loop they share."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", FIRST_ORDER)
+    def test_overflow_returns_diverged(self, method):
+        # U(beta) = 0.5*beta - 1.7e308 is finite, but beta - t*U(beta)
+        # overflows inside the prox input
+        u = LinearEstimating(0.5 * np.eye(3), np.full(3, 1.7e308))
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
+        rep = run_solver(prob, SolverConfig(), np.zeros(3), method)
+        assert rep.status is SolverStatus.DIVERGED
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(A=arrays(float, (4, 4), elements=st.floats(-3.0, 3.0)),
+           b=arrays(float, 4, elements=st.floats(-1e308, 1e308)),
+           lam=st.floats(0.0, 2.0),
+           penalty=st.sampled_from(PROPERTY_PENALTIES),
+           method=st.sampled_from(FIRST_ORDER),
+           record=st.booleans())
+    def test_random_linear_u_ends_in_typed_status(self, A, b, lam, penalty,
+                                                  method, record):
+        # monotone and non-monotone A alike; A = 0 has no stepsize to derive
+        assume(np.abs(A).max() > 1e-3)
+        prob = EstimatingProblem(u=LinearEstimating(A, b), penalty=penalty,
+                                 lam=lam)
+        cfg = SolverConfig(tol=1e-8, max_iter=200, record_iterates=record)
+        rep = run_solver(prob, cfg, np.full(4, 0.5), method)
+        assert isinstance(rep.status, SolverStatus)
+        assert len(rep.trace) == rep.iterations
+        if not record:
+            assert rep.iterates is None and rep.anchors is None
+        elif method.startswith("gra"):
+            assert rep.iterates.shape[0] == rep.iterations + 1
+            assert rep.anchors.shape[0] == rep.iterations + 1
+        else:
+            assert rep.iterates.shape[0] == rep.iterations + 1
+            assert rep.anchors is None
 
 
 class TestLqaNewton:
