@@ -573,9 +573,10 @@ def _bench_cell(cell: dict) -> dict:
 def bench_rows(manifest: dict) -> list[dict]:
     """Expand a benchmark manifest into its cell matrix and run every cell.
 
-    Cells run one after another. BLAS thread pools are pinned to one thread
-    for the duration of the run (set ``"pin_blas_threads": false`` to opt
-    out), so per-cell wall times stay reproducible.
+    Cells run one after another. BLAS pools are pinned to one thread when
+    ``threadpoolctl`` is importable (``"pin_blas_threads": false`` opts out);
+    each row's ``blas_pinned`` records whether that pin was applied. Without
+    threadpoolctl, set ``OPENBLAS_NUM_THREADS=1`` before the run instead.
     """
     def listify(v):
         return v if isinstance(v, list) else [v]
@@ -592,22 +593,22 @@ def bench_rows(manifest: dict) -> list[dict]:
                     solver=solver, seed=int(seed))
         cells.append(cell)
 
-    def run_cells() -> list[dict]:
-        return [_bench_cell(cell) for cell in cells]
+    def run_cells(pinned: bool) -> list[dict]:
+        return [dict(_bench_cell(cell), blas_pinned=pinned) for cell in cells]
 
     if manifest.get("pin_blas_threads", True):
         try:
             from threadpoolctl import threadpool_limits
         except ImportError:
-            return run_cells()
+            return run_cells(False)
         with threadpool_limits(limits=1):
-            return run_cells()
-    return run_cells()
+            return run_cells(True)
+    return run_cells(False)
 
 
 BENCH_COLUMNS = ("p", "n", "penalty", "solver", "seed", "lambda", "status",
                  "iterations", "wall_seconds", "per_iteration_seconds",
-                 "final_residual", "flags")
+                 "final_residual", "flags", "blas_pinned")
 
 
 def cmd_bench(args) -> int:

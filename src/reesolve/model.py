@@ -125,6 +125,10 @@ class GroupPartition:
     ``groups`` holds 0-based index tuples (file formats use 1-based indices;
     the CLI converts at the boundary). Optional per-group ``weights`` scale
     the group-norm terms; the default weight is 1 for every group.
+
+    ``__init__`` also caches ``dimension`` and read-only index arrays, kept
+    out of the fields and so out of ``==``, hash and repr: group ``j`` is
+    ``order[starts[j]:starts[j] + sizes[j]]``, weighted ``weight_array[j]``.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -138,6 +142,14 @@ class GroupPartition:
             self, "weights",
             None if weights is None else tuple(float(w) for w in weights))
         self._validate()
+        sizes = np.array([len(g) for g in norm_groups], dtype=np.intp)
+        object.__setattr__(self, "dimension", int(sizes.sum()))
+        for name, arr in (
+                ("order", np.concatenate(norm_groups).astype(np.intp)),
+                ("starts", np.cumsum(sizes) - sizes), ("sizes", sizes),
+                ("weight_array", np.array(self.weights or [1.0] * sizes.size))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def _validate(self) -> None:
         if not self.groups:
@@ -165,9 +177,8 @@ class GroupPartition:
             if any(w <= 0 for w in self.weights):
                 raise ValidationError("group weights must be positive")
 
-    @property
-    def dimension(self) -> int:
-        return sum(len(g) for g in self.groups)
+    def __reduce__(self):  # copies and pickles rebuild the read-only arrays
+        return GroupPartition, (self.groups, self.weights)
 
     def weight(self, j: int) -> float:
         return 1.0 if self.weights is None else self.weights[j]

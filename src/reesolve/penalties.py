@@ -20,6 +20,7 @@ from .model import (
     DimensionMismatchError,
     ElasticNet,
     GroupLasso,
+    GroupPartition,
     InvalidRadiusError,
     Lasso,
     NegativeScaleError,
@@ -54,6 +55,25 @@ def _check_spec_dim(spec: PenaltySpec, p: int) -> None:
             f"penalty defined on {d} coordinates, vector has {p}")
 
 
+def _group_norms(part: GroupPartition, vo: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every group of ``vo``, a vector in ``part.order``."""
+    return np.sqrt(np.add.reduceat(vo * vo, part.starts))
+
+
+def _group_shrink(part: GroupPartition, v: np.ndarray,
+                  scale: float) -> np.ndarray:
+    """Block soft-thresholding: group ``j`` of ``v`` times
+    ``max(1 - scale * w_j / ||v_j||, 0)``, a zero-norm group mapping to 0."""
+    vo = v[part.order]
+    norms = _group_norms(part, vo)
+    thresh = scale * part.weight_array
+    keep = norms > thresh
+    factor = np.where(keep, 1.0 - thresh / np.where(keep, norms, 1.0), 0.0)
+    out = np.empty_like(v)
+    out[part.order] = np.repeat(factor, part.sizes) * vo
+    return out
+
+
 def penalty_value(spec: PenaltySpec, beta) -> float:
     """Evaluate the penalty at ``beta``.
 
@@ -71,14 +91,10 @@ def penalty_value(spec: PenaltySpec, beta) -> float:
         return float(np.abs(beta).sum() + spec.ratio * (beta @ beta))
     if isinstance(spec, GroupLasso):
         part = spec.partition
-        return float(sum(
-            part.weight(j) * np.linalg.norm(beta[list(g)])
-            for j, g in enumerate(part.groups)))
+        return float(part.weight_array @ _group_norms(part, beta[part.order]))
     if isinstance(spec, SparseGroupLasso):
         part = spec.partition
-        group_part = sum(
-            part.weight(j) * np.linalg.norm(beta[list(g)])
-            for j, g in enumerate(part.groups))
+        group_part = part.weight_array @ _group_norms(part, beta[part.order])
         return float((1.0 - spec.alpha) * group_part
                      + spec.alpha * np.abs(beta).sum())
     if isinstance(spec, BallIndicator):
@@ -120,28 +136,11 @@ def prox(spec: PenaltySpec, v, scale: float) -> np.ndarray:
     if isinstance(spec, ElasticNet):
         return soft_threshold(v, scale) / (1.0 + 2.0 * scale * spec.ratio)
     if isinstance(spec, GroupLasso):
-        part = spec.partition
-        out = np.empty_like(v)
-        for j, g in enumerate(part.groups):
-            idx = list(g)
-            vg = v[idx]
-            norm = np.linalg.norm(vg)
-            thresh = scale * part.weight(j)
-            factor = 0.0 if norm <= thresh else 1.0 - thresh / norm
-            out[idx] = factor * vg
-        return out
+        return _group_shrink(spec.partition, v, scale)
     if isinstance(spec, SparseGroupLasso):
-        part = spec.partition
         alpha = spec.alpha
-        out = np.empty_like(v)
-        for j, g in enumerate(part.groups):
-            idx = list(g)
-            sg = soft_threshold(v[idx], alpha * scale)
-            norm = np.linalg.norm(sg)
-            thresh = (1.0 - alpha) * scale * part.weight(j)
-            factor = 0.0 if norm <= thresh else 1.0 - thresh / norm
-            out[idx] = factor * sg
-        return out
+        return _group_shrink(spec.partition, soft_threshold(v, alpha * scale),
+                             (1.0 - alpha) * scale)
     if isinstance(spec, BallIndicator):
         return project_ball(spec.ball, v)
     raise UnsupportedPenaltyError(

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -257,6 +260,42 @@ def test_bench_flags_lqa_with_p_above_n(tmp_path):
     assert main(["bench", "--manifest", str(mpath), "--out", str(out)]) == 0
     row = out.read_text().strip().splitlines()[1]
     assert "cubic-cost-p-exceeds-n" in row
+
+
+def _bench_blas_pinned(tmp_path, **extra):
+    manifest = {"schema_version": 1, "n": 20, "p": 8, "penalty": "lasso",
+                "solver": ["picard", "km"], "seed": 0, "lambda_rel": 0.3,
+                "tol": 1e-6, **extra}
+    mpath = tmp_path / "bench.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--manifest", str(mpath), "--out", str(out)]) == 0
+    header, *rows = out.read_text().strip().splitlines()
+    col = header.split(",").index("blas_pinned")
+    return [r.split(",")[col] for r in rows]
+
+
+def test_bench_reports_unpinned_blas_without_threadpoolctl(tmp_path, monkeypatch):
+    # a None entry makes "from threadpoolctl import ..." raise ImportError
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    assert _bench_blas_pinned(tmp_path) == ["False", "False"]
+
+
+def test_bench_reports_pinned_blas_only_inside_the_limit(tmp_path, monkeypatch):
+    entered = []
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits):
+        entered.append(limits)
+        yield
+
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = threadpool_limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    assert _bench_blas_pinned(tmp_path) == ["True", "True"]
+    assert entered == [1]
+    assert _bench_blas_pinned(tmp_path, pin_blas_threads=False) == ["False", "False"]
+    assert entered == [1]
 
 
 def test_solve_box_constrained(lasso_files, capsys):

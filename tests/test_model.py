@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,38 @@ class TestGroupPartition:
             GroupPartition([[0, 1], [2]], weights=[1.0])
         with pytest.raises(ValidationError):
             GroupPartition([[0, 1], [2]], weights=[1.0, -1.0])
+
+    def test_equal_partitions_compare_and_hash_equal(self):
+        a = GroupPartition([[2, 0], [1]], weights=[1.0, 2.0])
+        b = GroupPartition(((2, 0), (1,)), weights=(1.0, 2.0))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == ("GroupPartition(groups=((2, 0), (1,)), "
+                           "weights=(1.0, 2.0))")
+        assert a != GroupPartition([[2, 0], [1]])
+
+    def test_index_arrays(self):
+        part = GroupPartition([[3, 0], [1], [4, 2, 5]], weights=[1.0, 2.0, 0.5])
+        assert part.order.tolist() == [3, 0, 1, 4, 2, 5]
+        assert part.starts.tolist() == [0, 2, 3]
+        assert part.sizes.tolist() == [2, 1, 3]
+        assert part.weight_array.tolist() == [1.0, 2.0, 0.5]
+        assert part.order.dtype == np.intp
+        assert GroupPartition([[0], [1]]).weight_array.tolist() == [1.0, 1.0]
+
+    def test_index_arrays_read_only(self):
+        part = GroupPartition([[0, 1], [2]])
+        for copied in (part, copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+            assert copied == part and copied.order.tolist() == [0, 1, 2]
+            for arr in (copied.order, copied.starts, copied.sizes,
+                        copied.weight_array):
+                with pytest.raises(ValueError):
+                    arr[0] = 7
+        with pytest.raises(AttributeError):
+            part.order = np.arange(3)
+
+    def test_dimension_counts_indices(self):
+        groups = [[5, 1], [0], [4, 2, 3]]
+        assert GroupPartition(groups).dimension == sum(len(g) for g in groups)
 
 
 class TestPenaltySpecs:

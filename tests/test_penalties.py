@@ -1,21 +1,29 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reesolve import (
     BallConstraint,
     BallIndicator,
     DimensionMismatchError,
     ElasticNet,
+    EstimatingProblem,
     GroupLasso,
     GroupPartition,
     InstanceTooLargeError,
     Lasso,
+    LinearEstimating,
     NegativeScaleError,
     Ridge,
     Scad,
     ScadParameterError,
     SparseGroupLasso,
     UnsupportedPenaltyError,
+    kkt_residual,
     lqa_weight_diag,
     oracle_grid_prox,
     penalty_value,
@@ -391,3 +399,104 @@ class TestGridOracle:
     def test_dimension_cap(self):
         with pytest.raises(InstanceTooLargeError):
             oracle_grid_prox(Lasso(), np.ones(4), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized group operators against a per-group loop reference
+# ---------------------------------------------------------------------------
+
+def _loop_alpha(spec):
+    return spec.alpha if isinstance(spec, SparseGroupLasso) else 0.0
+
+
+def _loop_prox(spec, v, scale):
+    """Group by group: soft-threshold at alpha*scale, then shrink the group."""
+    part, alpha = spec.partition, _loop_alpha(spec)
+    out = np.empty_like(v)
+    for j, g in enumerate(part.groups):
+        idx = list(g)
+        sg = np.sign(v[idx]) * np.maximum(np.abs(v[idx]) - alpha * scale, 0.0)
+        norm = math.sqrt(sum(x * x for x in sg))
+        thresh = (1.0 - alpha) * scale * part.weight(j)
+        out[idx] = (0.0 if norm <= thresh else 1.0 - thresh / norm) * sg
+    return out
+
+
+def _loop_value(spec, beta):
+    part, alpha = spec.partition, _loop_alpha(spec)
+    groups = sum(part.weight(j) * math.sqrt(sum(beta[i] ** 2 for i in g))
+                 for j, g in enumerate(part.groups))
+    return (1.0 - alpha) * groups + alpha * sum(abs(x) for x in beta)
+
+
+def _loop_kkt(spec, u, beta, lam):
+    """(max_residual, coordinate, group) from the per-group case split."""
+    part, alpha = spec.partition, _loop_alpha(spec)
+    coord = np.zeros(beta.size)
+    group = np.zeros(len(part.groups))
+    for j, g in enumerate(part.groups):
+        lam_g = lam * (1.0 - alpha) * part.weight(j)
+        norm = math.sqrt(sum(beta[i] ** 2 for i in g))
+        if norm > 0.0:
+            stat = {i: u[i] + lam_g * beta[i] / norm for i in g}
+            if isinstance(spec, GroupLasso):
+                group[j] = math.sqrt(sum(s * s for s in stat.values()))
+                continue
+            for i in g:
+                if beta[i] != 0.0:
+                    coord[i] = abs(stat[i] + lam * alpha * math.copysign(1.0, beta[i]))
+                else:
+                    coord[i] = max(abs(stat[i]) - lam * alpha, 0.0)
+        else:
+            shrunk = [max(abs(u[i]) - lam * alpha, 0.0) for i in g]
+            group[j] = max(math.sqrt(sum(s * s for s in shrunk)) - lam_g, 0.0)
+    if isinstance(spec, GroupLasso):
+        return group.max(), None, group
+    return max(coord.max(), group.max()), coord, group
+
+
+@st.composite
+def group_cases(draw):
+    """A shuffled partition of {0..p-1} (singletons included), a group
+    penalty on it and a point with some groups forced to zero."""
+    p = draw(st.integers(1, 30))
+    perm = draw(st.permutations(range(p)))
+    cuts = sorted(draw(st.sets(st.integers(1, p - 1), max_size=p - 1))
+                  if p > 1 else [])
+    bounds = [0, *cuts, p]
+    groups = [perm[a:b] for a, b in zip(bounds, bounds[1:])]
+    weights = draw(st.none() | st.lists(
+        st.floats(0.1, 5.0), min_size=len(groups), max_size=len(groups)))
+    part = GroupPartition(groups, weights)
+    alpha = draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
+    spec = GroupLasso(part) if alpha is None else SparseGroupLasso(part, alpha)
+    v = draw(arrays(float, p, elements=st.floats(-10.0, 10.0)))
+    for g in groups:
+        if draw(st.booleans()):
+            v[list(g)] = 0.0
+    return spec, v
+
+
+class TestVectorizedGroupOperators:
+    @settings(max_examples=300, deadline=None)
+    @given(case=group_cases(), scale=st.just(0.0) | st.floats(0.0, 5.0),
+           lam=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_per_group_loop(self, case, scale, lam, seed):
+        spec, v = case
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(prox(spec, v, scale),
+                                   _loop_prox(spec, v, scale), **tol)
+        np.testing.assert_allclose(penalty_value(spec, v),
+                                   _loop_value(spec, v), **tol)
+
+        rng = np.random.default_rng(seed)
+        p = v.size
+        u = LinearEstimating(rng.standard_normal((p, p)), rng.standard_normal(p))
+        got = kkt_residual(EstimatingProblem(u=u, penalty=spec, lam=lam), v)
+        want_max, want_coord, want_group = _loop_kkt(spec, u(v), v, lam)
+        np.testing.assert_allclose(got.max_residual, want_max, **tol)
+        np.testing.assert_allclose(got.group, want_group, **tol)
+        if want_coord is None:
+            assert got.coordinate is None
+        else:
+            np.testing.assert_allclose(got.coordinate, want_coord, **tol)
