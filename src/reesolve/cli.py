@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -55,12 +55,12 @@ from .model import (
     as_coefficients,
     validate_problem,
 )
-from .solvers import lambda_max, run_solver, solve_path
+from .solvers import SOLVER_NAMES, lambda_max, run_solver, solve_path
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = ("tau", "rho", "step", "t_bar", "psi", "epsilon_lqa",
-               "zero_threshold", "max_iter", "tol")
+CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig))
+METHOD_CHOICES = SOLVER_NAMES + ("lqa",)
 
 
 def _fmt(x: float) -> str:
@@ -251,8 +251,7 @@ def _config_from_args(args, doc: dict) -> SolverConfig:
             values[key] = flag
     if "max_iter" in values:
         values["max_iter"] = int(values["max_iter"])
-    known = set(CONFIG_KEYS) | {"record_iterates", "allow_fd_jacobian"}
-    unknown = set(values) - known
+    unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
     return SolverConfig(**values)
@@ -497,24 +496,6 @@ def cmd_check(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _bench_penalty(kind: str, p: int) -> PenaltySpec:
-    kind = kind.replace("-", "_")
-    if kind == "lasso":
-        return Lasso()
-    if kind == "ridge":
-        return Ridge()
-    if kind == "elastic_net":
-        return ElasticNet(ratio=1.0)
-    if kind in ("group_lasso", "sparse_group_lasso"):
-        size = 5
-        groups = [list(range(i, min(i + size, p))) for i in range(0, p, size)]
-        part = GroupPartition(groups)
-        if kind == "group_lasso":
-            return GroupLasso(part)
-        return SparseGroupLasso(part, alpha=0.5)
-    raise ValidationError(f"unsupported bench penalty '{kind}'")
-
-
 def _bench_cell(cell: dict) -> dict:
     p, n, seed = cell["p"], cell["n"], cell["seed"]
     rng = np.random.default_rng([seed, p, n])
@@ -525,7 +506,9 @@ def _bench_cell(cell: dict) -> dict:
     beta_star[support] = rng.uniform(1.0, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
     y = X @ beta_star + cell.get("noise", 0.1) * rng.standard_normal(n)
     u = LeastSquaresEstimating(X, y)
-    penalty = _bench_penalty(cell["penalty"], p)
+    # group penalties use contiguous groups of 5 (1-based, as in files)
+    groups = [list(range(i + 1, min(i + 6, p + 1))) for i in range(0, p, 5)]
+    penalty = _penalty_from_doc({"kind": cell["penalty"], "groups": groups})
     if "lambda" in cell:
         lam = float(cell["lambda"])
     else:
@@ -574,9 +557,9 @@ def bench_rows(manifest: dict) -> list[dict]:
     """Expand a benchmark manifest into its cell matrix and run every cell.
 
     Cells run one after another. BLAS pools are pinned to one thread when
-    ``threadpoolctl`` is importable (``"pin_blas_threads": false`` opts out);
-    each row's ``blas_pinned`` records whether that pin was applied. Without
-    threadpoolctl, set ``OPENBLAS_NUM_THREADS=1`` before the run instead.
+    ``threadpoolctl`` is importable; each row's ``blas_pinned`` records
+    whether that pin was applied. Without threadpoolctl, set
+    ``OPENBLAS_NUM_THREADS=1`` before the run instead.
     """
     def listify(v):
         return v if isinstance(v, list) else [v]
@@ -596,14 +579,12 @@ def bench_rows(manifest: dict) -> list[dict]:
     def run_cells(pinned: bool) -> list[dict]:
         return [dict(_bench_cell(cell), blas_pinned=pinned) for cell in cells]
 
-    if manifest.get("pin_blas_threads", True):
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            return run_cells(False)
-        with threadpool_limits(limits=1):
-            return run_cells(True)
-    return run_cells(False)
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        return run_cells(False)
+    with threadpool_limits(limits=1):
+        return run_cells(True)
 
 
 BENCH_COLUMNS = ("p", "n", "penalty", "solver", "seed", "lambda", "status",
@@ -693,8 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(sp)
     _add_probe_args(sp)
     sp.add_argument("--method", default="picard",
-                    choices=["picard", "km", "gra-fixed", "gra-adaptive",
-                             "lqa-newton", "lqa"])
+                    choices=METHOD_CHOICES)
     sp.add_argument("--init", help="initial point CSV (default: zeros)")
     sp.add_argument("--out", default="report.json", help="report JSON path")
     sp.set_defaults(func=cmd_solve)
@@ -704,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(pp)
     _add_probe_args(pp)
     pp.add_argument("--method", default="picard",
-                    choices=["picard", "km", "gra-fixed", "gra-adaptive",
-                             "lqa-newton", "lqa"])
+                    choices=METHOD_CHOICES)
     pp.add_argument("--lambdas", help="comma-separated decreasing grid")
     pp.add_argument("--auto-grid", dest="auto_grid", type=int,
                     help="log-spaced grid size from lambda_max down two decades")
@@ -738,9 +717,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         # ValueError covers the package's typed errors, malformed numbers in
-        # CSV/JSON inputs, and json decoding failures
+        # CSV/JSON inputs, and json decoding failures; TypeError covers
+        # problem documents whose fields have the wrong JSON type
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,18 +61,16 @@ __all__ = [
 def fixed_point_residual(problem: EstimatingProblem, beta, tau: float) -> float:
     """``|| prox_{tau*lam*Omega}(beta - tau*U(beta)) - beta ||_2``.
 
-    Zero exactly at solutions, for every tau > 0. Ball-indicator penalties
-    use the constrained form's fixed-point map ``P_C(beta - tau*U(beta))``,
-    whose prox scale is immaterial (the problem's lambda is ignored, as it
-    is when solving).
+    Zero exactly at solutions, for every tau > 0. For a ball indicator the
+    prox is the projection at every scale, so the map is
+    ``P_C(beta - tau*U(beta))`` and the problem's lambda plays no role.
     """
     if not (tau > 0.0):
         raise ValidationError(f"tau must be positive, got {tau}")
     validate_problem(problem)
     beta = as_coefficients(beta, problem.u.dim)
-    lam = 1.0 if isinstance(problem.penalty, BallIndicator) else problem.lam
     step = prox(problem.penalty, beta - tau * evaluate(problem.u, beta),
-                tau * lam)
+                tau * problem.lam)
     return float(np.linalg.norm(step - beta))
 
 
@@ -323,7 +321,11 @@ def oracle_grid_prox(spec: PenaltySpec, v, scale: float,
             axes.append(np.arange(lo, hi + 1) * s)
         mesh = np.meshgrid(*axes, indexing="ij")
         Z = np.stack([m.ravel() for m in mesh], axis=1)
-        obj = 0.5 * ((Z - v) ** 2).sum(axis=1) + scale * _omega_rows(spec, Z)
+        omega = _omega_rows(spec, Z)
+        off = np.isinf(omega)  # 0 * indicator is the indicator, not nan
+        obj = (0.5 * ((Z - v) ** 2).sum(axis=1)
+               + scale * np.where(off, 0.0, omega))
+        obj[off] = np.inf
         best = Z[int(np.argmin(obj))]
         center = best
     return best.copy()

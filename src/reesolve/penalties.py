@@ -110,12 +110,13 @@ def prox(spec: PenaltySpec, v, scale: float) -> np.ndarray:
     ----------
     spec : PenaltySpec
         Penalty description; for a ball indicator the prox is the Euclidean
-        projection regardless of the (positive) scale.
+        projection at every scale, 0 included (``0 * indicator`` is the
+        indicator), so a constrained problem's lambda plays no role.
     v : array_like
         Input point.
     scale : float
         Nonnegative multiplier (plays the role of stepsize times lambda).
-        ``scale == 0`` returns ``v`` unchanged for every penalty.
+        ``scale == 0`` returns ``v`` unchanged for every other penalty.
 
     Notes
     -----
@@ -127,6 +128,8 @@ def prox(spec: PenaltySpec, v, scale: float) -> np.ndarray:
     _check_spec_dim(spec, v.size)
     if not (scale >= 0.0):
         raise NegativeScaleError(f"scale must be >= 0, got {scale}")
+    if isinstance(spec, BallIndicator):
+        return project_ball(spec.ball, v)
     if scale == 0.0:
         return v.copy()
     if isinstance(spec, Lasso):
@@ -141,8 +144,6 @@ def prox(spec: PenaltySpec, v, scale: float) -> np.ndarray:
         alpha = spec.alpha
         return _group_shrink(spec.partition, soft_threshold(v, alpha * scale),
                              (1.0 - alpha) * scale)
-    if isinstance(spec, BallIndicator):
-        return project_ball(spec.ball, v)
     raise UnsupportedPenaltyError(
         f"no proximal operator for {type(spec).__name__}")
 

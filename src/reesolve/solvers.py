@@ -126,11 +126,6 @@ class _Run:
         )
 
 
-def _bad(residual: float, beta: np.ndarray) -> bool:
-    return (not np.all(np.isfinite(beta)) or not math.isfinite(residual)
-            or residual > DIVERGENCE_RESIDUAL)
-
-
 def _first_order_loop(method: str, problem: EstimatingProblem,
                       config: SolverConfig, beta: np.ndarray, steps,
                       anchor: Optional[np.ndarray] = None,
@@ -161,7 +156,8 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
             u = evaluate(problem.u, beta)
             fb = prox(problem.penalty, beta - t * u, t * problem.lam)
             r = float(np.linalg.norm(fb - beta))
-            if _bad(r, beta):
+            # evaluate() has rejected a non-finite beta; NaN fails the test
+            if not r <= DIVERGENCE_RESIDUAL:
                 status = SolverStatus.DIVERGED
                 break
             run.record(k, r, t, beta, theta, anchor)
@@ -434,7 +430,7 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
         w = weights(beta)
         q = u_val + w * beta
         r = float(np.linalg.norm(q))
-        if _bad(r, beta):
+        if not r <= DIVERGENCE_RESIDUAL:
             status = SolverStatus.DIVERGED
             break
         run.record(k, r, 1.0, beta)
@@ -484,21 +480,14 @@ def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
                       L: Optional[float] = None) -> SolverReport:
     """Solve a ball-constrained estimating equation by projected iterations.
 
-    The penalty must be a :class:`BallIndicator`; its prox is the Euclidean
-    projection, so the chosen solver runs unchanged with the projection in
-    place of the prox. The problem's lambda is ignored (the constrained form
-    fixes it to 1), and the starting point(s) are projected onto the ball
-    first.
+    The penalty must be a :class:`BallIndicator`. Its prox is the Euclidean
+    projection at every scale, so this is :func:`run_solver` on the same
+    fixed-point problem, and the problem's lambda plays no role.
     """
-    validate_problem(problem)
     if not isinstance(problem.penalty, BallIndicator):
         raise UnsupportedPenaltyError(
             "constrained solving needs a BallIndicator penalty")
-    name = method.lower()
-    if name not in _SOLVERS or name == "lqa-newton":
-        raise ValidationError(f"unknown projected method {method!r}")
-    start = _projected_start(problem.penalty.ball, init, problem.u.dim)
-    return _SOLVERS[name](replace(problem, lam=1.0), config, start, L)
+    return run_solver(problem, config, init, method, L)
 
 
 def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
@@ -506,9 +495,11 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
     """Dispatch one solve by method name.
 
     Accepts ``picard``, ``km``, ``gra-fixed``, ``gra-adaptive`` and
-    ``lqa-newton`` (alias ``lqa``). Ball-indicator penalties are routed
-    through :func:`solve_constrained`. ``L`` (when needed and not given) is
-    derived via :func:`lipschitz_upper_bound`.
+    ``lqa-newton`` (alias ``lqa``). For a ball-indicator penalty the
+    starting point(s) are projected onto the ball first, which keeps the
+    averaged km iterates feasible even when a run stops at ``max_iter``.
+    ``L`` (when needed and not given) is derived via
+    :func:`lipschitz_upper_bound`.
     """
     name = method.lower()
     if name == "lqa":
@@ -517,10 +508,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
         raise ValidationError(
             f"unknown method {method!r}; choose one of {', '.join(SOLVER_NAMES)}")
     if isinstance(problem.penalty, BallIndicator):
-        if name == "lqa-newton":
-            raise UnsupportedPenaltyError(
-                "LQA cannot handle the ball-indicator penalty")
-        return solve_constrained(problem, config, init, name, L)
+        init = _projected_start(problem.penalty.ball, init, problem.u.dim)
     return _SOLVERS[name](problem, config, init, L)
 
 

@@ -97,6 +97,33 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+_GROUP_PENALTY = {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("penalty", dict(_GROUP_PENALTY, groups=5)),
+    ("penalty", dict(_GROUP_PENALTY, groups=[["a"]])),
+    ("penalty", dict(_GROUP_PENALTY, weights=3)),
+    ("lambda", None),
+    ("config", [1]),
+    ("config", {"tol": "x"}),
+    ("penalty", [1]),
+], ids=["groups-int", "groups-str", "weights-int", "lambda-null",
+        "config-list", "config-tol-str", "penalty-list"])
+def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
+    tmp, xp, yp, lam = lasso_files
+    doc = {"schema_version": 1,
+           "estimating": {"type": "least_squares", "design": xp,
+                          "response": yp},
+           "penalty": _GROUP_PENALTY, "lambda": lam, field: value}
+    path = tmp / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--problem", str(path),
+                 "--out", str(tmp / "report.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_gra_fixed_without_lipschitz_exits_2(tmp_path, capsys):
     # logistic U has no derivable Lipschitz bound unless declared
     rng = np.random.default_rng(102)
@@ -293,8 +320,6 @@ def test_bench_reports_pinned_blas_only_inside_the_limit(tmp_path, monkeypatch):
     fake.threadpool_limits = threadpool_limits
     monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
     assert _bench_blas_pinned(tmp_path) == ["True", "True"]
-    assert entered == [1]
-    assert _bench_blas_pinned(tmp_path, pin_blas_threads=False) == ["False", "False"]
     assert entered == [1]
 
 

@@ -124,6 +124,17 @@ class TestProxClosedForms:
         got = prox(BallIndicator(ball), [3.0, 4.0], 0.7)
         np.testing.assert_allclose(got, project_ball(ball, [3.0, 4.0]))
 
+    @pytest.mark.parametrize("ball", [
+        BallConstraint("l1", 1.0),
+        BallConstraint("l2", 1.0),
+        BallConstraint("box", lower=[-0.5, -0.5, -0.5], upper=[0.5, 1.0, 1.5]),
+    ], ids=["l1", "l2", "box"])
+    def test_ball_prox_at_scale_zero_is_projection(self, ball):
+        # 0 * indicator is the indicator: no scale turns the projection off
+        v = np.array([0.3, -1.2, 2.0])
+        np.testing.assert_array_equal(prox(BallIndicator(ball), v, 0.0),
+                                      project_ball(ball, v))
+
     def test_scad_has_no_prox(self):
         with pytest.raises(UnsupportedPenaltyError):
             prox(Scad(3.7), [1.0], 1.0)
@@ -164,8 +175,9 @@ class TestProxProperties:
         for _ in range(5):
             v = rng.uniform(-2.5, 2.5, size=3)
             closed = prox(spec, v, rng.uniform(0.1, 1.5))
-            grid = oracle_grid_prox(spec, v, 1.0)
-            np.testing.assert_allclose(closed, grid, atol=5e-2)
+            for scale in (1.0, 0.0):
+                grid = oracle_grid_prox(spec, v, scale)
+                np.testing.assert_allclose(closed, grid, atol=5e-2)
 
     def test_subgradient_inclusion_certificate(self):
         # v - z must lie in scale * dOmega(z), checked per penalty case split

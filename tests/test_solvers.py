@@ -507,6 +507,44 @@ class TestConstrained:
         with pytest.raises(UnsupportedPenaltyError):
             solve_constrained(prob, SolverConfig(), np.zeros(10), "picard")
 
+    def test_lambda_plays_no_role(self):
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((30, 4))
+        u = LeastSquaresEstimating(X, rng.standard_normal(30))
+        ball = BallIndicator(BallConstraint("l1", 0.5))
+        cfg = SolverConfig(tol=1e-10, max_iter=500)
+        start = 3.0 * np.ones(4)
+        a, b = (run_solver(EstimatingProblem(u=u, penalty=ball, lam=lam),
+                           cfg, start, "km") for lam in (0.0, 0.7))
+        assert (a.status, a.iterations, a.trace, a.initial_residual,
+                a.stepsize, a.flags) == (b.status, b.iterations, b.trace,
+                                         b.initial_residual, b.stepsize,
+                                         b.flags)
+        np.testing.assert_array_equal(a.solution, b.solution)
+        np.testing.assert_array_equal(a.iterates, b.iterates)
+
+    def test_lqa_rejects_the_ball(self):
+        rng = np.random.default_rng(19)
+        u = LeastSquaresEstimating(rng.standard_normal((20, 3)),
+                                   rng.standard_normal(20))
+        prob = EstimatingProblem(
+            u=u, penalty=BallIndicator(BallConstraint("l2", 1.0)), lam=0.0)
+        with pytest.raises(UnsupportedPenaltyError):
+            solve_constrained(prob, SolverConfig(), np.zeros(3), "lqa")
+
+    def test_km_cut_short_stays_feasible(self):
+        # averaged iterates mix the start in, so only a projected start
+        # keeps a run stopped after three steps inside the ball
+        rng = np.random.default_rng(20)
+        u = LeastSquaresEstimating(rng.standard_normal((20, 4)),
+                                   rng.standard_normal(20))
+        prob = EstimatingProblem(
+            u=u, penalty=BallIndicator(BallConstraint("l1", 1.0)), lam=0.0)
+        rep = run_solver(prob, SolverConfig(tol=1e-12, max_iter=3),
+                         10.0 * np.ones(4), "km")
+        assert rep.status is SolverStatus.MAX_ITER_REACHED
+        assert np.abs(rep.solution).sum() <= 1.0 + 1e-12
+
 
 def cfg_fast():
     return SolverConfig(tol=1e-10, max_iter=50000)
