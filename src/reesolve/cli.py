@@ -183,6 +183,10 @@ def _merge_problem_doc(args) -> tuple[dict, Path]:
         path = Path(args.problem)
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValidationError(
+                f"problem file {path} must hold a JSON object, "
+                f"not {type(doc).__name__}")
         if "schema_version" not in doc:
             raise ValidationError(
                 f"problem file {path} is missing 'schema_version'")
@@ -250,7 +254,10 @@ def _config_from_args(args, doc: dict) -> SolverConfig:
         if flag is not None:
             values[key] = flag
     if "max_iter" in values:
-        values["max_iter"] = int(values["max_iter"])
+        max_iter = values["max_iter"]
+        if isinstance(max_iter, float) and not math.isfinite(max_iter):
+            raise ValidationError(f"max_iter must be finite, got {max_iter}")
+        values["max_iter"] = int(max_iter)
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")

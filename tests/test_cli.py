@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import sys
 import types
 
@@ -100,6 +101,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 _GROUP_PENALTY = {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]}
 
 
+# field None replaces the whole document with value
 @pytest.mark.parametrize("field, value", [
     ("penalty", dict(_GROUP_PENALTY, groups=5)),
     ("penalty", dict(_GROUP_PENALTY, groups=[["a"]])),
@@ -108,8 +110,14 @@ _GROUP_PENALTY = {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]}
     ("config", [1]),
     ("config", {"tol": "x"}),
     ("penalty", [1]),
+    ("config", {"max_iter": math.inf}),
+    (None, ["schema_version"]),
+    (None, 1),
+    (None, "x"),
+    (None, None),
 ], ids=["groups-int", "groups-str", "weights-int", "lambda-null",
-        "config-list", "config-tol-str", "penalty-list"])
+        "config-list", "config-tol-str", "penalty-list", "max-iter-1e400",
+        "top-list", "top-int", "top-str", "top-null"])
 def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
     tmp, xp, yp, lam = lasso_files
     doc = {"schema_version": 1,
@@ -117,7 +125,9 @@ def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
                           "response": yp},
            "penalty": _GROUP_PENALTY, "lambda": lam, field: value}
     path = tmp / "problem.json"
-    path.write_text(json.dumps(doc))
+    # 1e400 is valid JSON that reads back as inf
+    path.write_text(json.dumps(value if field is None else doc)
+                    .replace("Infinity", "1e400"))
     code = main(["solve", "--problem", str(path),
                  "--out", str(tmp / "report.json")])
     assert code == 2

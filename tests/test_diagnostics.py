@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import lasso_ls_instance
 
+from reesolve import diagnostics
 from reesolve import (
+    BallConstraint,
+    BallIndicator,
     EstimatingProblem,
     GeometricEnvelope,
     GroupLasso,
@@ -22,11 +29,14 @@ from reesolve import (
     SolverStatus,
     SparseGroupLasso,
     UnsupportedPenaltyError,
+    evaluate,
     fixed_point_residual,
     kkt_residual,
     lambda_max,
     oracle_grid_prox,
     oracle_lasso_cd,
+    penalty_value,
+    project_ball,
     rate_envelope_check,
     solve_km,
     solve_picard,
@@ -153,6 +163,120 @@ class TestViProbe:
         a = vi_probe(prob, np.zeros(10), 100, 1.0, seed=7)
         b = vi_probe(prob, np.zeros(10), 100, 1.0, seed=7)
         assert a.worst_value == b.worst_value
+
+
+def _probe_reference(problem, beta_hat, samples, radius, seed, tol=1e-8):
+    """vi_probe as it was before its draw was cached: a fresh draw per call."""
+    beta_hat = np.asarray(beta_hat, dtype=float)
+    p = beta_hat.size
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, p))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = radius * rng.uniform(size=samples) ** (1.0 / p)
+    B = beta_hat + radii[:, None] * dirs
+    u_hat = evaluate(problem.u, beta_hat)
+    pen = problem.penalty
+    if isinstance(pen, BallIndicator):
+        if not math.isfinite(penalty_value(pen, beta_hat)):
+            return False, -math.inf, None
+        B = np.vstack([project_ball(pen.ball, row) for row in B])
+        values = (B - beta_hat) @ u_hat
+    else:
+        values = (B - beta_hat) @ u_hat
+        if problem.lam > 0.0:
+            omega_hat = diagnostics._omega_rows(pen, beta_hat[None, :])[0]
+            values = values + problem.lam * (
+                diagnostics._omega_rows(pen, B) - omega_hat)
+    i = int(np.argmin(values))
+    return float(values[i]) >= -tol, float(values[i]), B[i].copy()
+
+
+def _assert_same_probe(result, reference):
+    passed, worst, point = reference
+    assert result.passed == passed
+    assert result.worst_value == worst
+    if point is None:
+        assert result.worst_point is None
+    else:
+        assert np.array_equal(result.worst_point, point)
+
+
+@st.composite
+def _probe_problems(draw):
+    p = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["lasso", "group_lasso", "l2_ball"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((p, p))
+    u = LinearEstimating(M @ M.T / p + np.eye(p), rng.standard_normal(p))
+    if kind == "lasso":
+        penalty = Lasso()
+    elif kind == "group_lasso":
+        cuts = sorted(set(rng.integers(1, p, size=p // 3))) if p > 1 else []
+        penalty = GroupLasso(GroupPartition(
+            [g.tolist() for g in np.split(rng.permutation(p), cuts)]))
+    else:
+        penalty = BallIndicator(BallConstraint("l2", radius=1.0))
+    lam = draw(st.just(0.0) | st.floats(0.01, 2.0))
+    # scale 2 puts some ball candidates outside the ball
+    beta_hat = rng.standard_normal(p) * draw(st.sampled_from([0.1, 2.0]))
+    return EstimatingProblem(u=u, penalty=penalty, lam=lam), beta_hat
+
+
+# (samples, radius, seed), in vi_probe's argument order
+_probe_args = st.tuples(st.integers(1, 300), st.floats(1e-3, 10.0),
+                        st.integers(0, 2**64 - 1))
+
+
+class TestViProbeCachedDraw:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_probe_problems(), first=_probe_args, second=_probe_args)
+    def test_matches_fresh_draw_bit_for_bit(self, case, first, second):
+        problem, beta_hat = case
+        # first, first again (a hit), second (a miss unless equal), first
+        # again (a miss once second evicted it)
+        for args in (first, first, second, first):
+            _assert_same_probe(vi_probe(problem, beta_hat, *args),
+                               _probe_reference(problem, beta_hat, *args))
+
+    def test_offsets_are_read_only(self):
+        offsets = diagnostics._probe_offsets(3, 20, 1.5, 4)
+        assert offsets.shape == (20, 4)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 0.0
+        assert diagnostics._probe_offsets(3, 20, 1.5, 4) is offsets
+
+    def test_mutating_worst_point_leaves_later_probes_alone(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=12)
+        beta = np.zeros(10)
+        first = vi_probe(prob, beta, 200, 1.0, seed=4)
+        first.worst_point[:] = 1e6
+        _assert_same_probe(vi_probe(prob, beta, 200, 1.0, seed=4),
+                           _probe_reference(prob, beta, 200, 1.0, 4))
+
+    @pytest.mark.parametrize("make_seed", [
+        lambda: 5, lambda: np.int64(5), lambda: np.uint32(5), lambda: True,
+        lambda: [5, 6], lambda: (5, 6), lambda: np.array([5, 6]),
+        lambda: np.random.SeedSequence(5),
+    ], ids=["int", "int64", "uint32", "bool", "list", "tuple", "array",
+            "seed-sequence"])
+    def test_every_seed_kind_matches_fresh_draw(self, make_seed):
+        X, y, u, lam, prob = lasso_ls_instance(seed=13)
+        beta = np.zeros(10)
+        for _ in range(2):
+            _assert_same_probe(vi_probe(prob, beta, 50, 1.0, make_seed()),
+                               _probe_reference(prob, beta, 50, 1.0,
+                                                make_seed()))
+
+    def test_generator_seed_advances_on_every_call(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=14)
+        beta = np.zeros(10)
+        gen, twin = np.random.default_rng(9), np.random.default_rng(9)
+        a = vi_probe(prob, beta, 50, 1.0, gen)
+        b = vi_probe(prob, beta, 50, 1.0, gen)
+        _assert_same_probe(a, _probe_reference(prob, beta, 50, 1.0, twin))
+        _assert_same_probe(b, _probe_reference(prob, beta, 50, 1.0, twin))
+        assert not np.array_equal(a.worst_point, b.worst_point)
 
 
 class TestOracleLassoCd:
