@@ -61,6 +61,8 @@ SCHEMA_VERSION = 1
 
 CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig))
 METHOD_CHOICES = SOLVER_NAMES + ("lqa",)
+# statuses that make solve and path exit 1
+_FAILED = (SolverStatus.DIVERGED, SolverStatus.NUMERICAL_FAILURE)
 
 
 def _fmt(x: float) -> str:
@@ -156,6 +158,8 @@ def _penalty_from_doc(doc: dict) -> PenaltySpec:
 def _estimating_from_doc(doc: dict, base: Path) -> EstimatingFunction:
     kind = str(doc.get("type", "least_squares")).replace("-", "_")
     declared = doc.get("lipschitz")
+    if declared is not None:
+        declared = float(declared)
     if kind in ("least_squares", "logistic"):
         for field in ("design", "response"):
             if field not in doc:
@@ -163,7 +167,7 @@ def _estimating_from_doc(doc: dict, base: Path) -> EstimatingFunction:
         X = _load_matrix(str(base / doc["design"]))
         y = _load_vector(str(base / doc["response"]))
         if kind == "least_squares":
-            return LeastSquaresEstimating(X, y)
+            return LeastSquaresEstimating(X, y, lipschitz=declared)
         return LogisticEstimating(X, y, lipschitz=declared)
     if kind == "linear":
         for field in ("matrix", "offset"):
@@ -171,7 +175,7 @@ def _estimating_from_doc(doc: dict, base: Path) -> EstimatingFunction:
                 raise ValidationError(f"estimating 'linear' needs a '{field}' file")
         A = _load_matrix(str(base / doc["matrix"]))
         b = _load_vector(str(base / doc["offset"]))
-        return LinearEstimating(A, b)
+        return LinearEstimating(A, b, lipschitz=declared)
     raise ValidationError(f"unknown estimating type '{kind}'")
 
 
@@ -365,8 +369,7 @@ def cmd_solve(args) -> int:
     problem, doc, _ = _build_problem(args)
     config = _config_from_args(args, doc)
     init = _initial_point(args, problem.u.dim)
-    report = run_solver(problem, config, init, args.method,
-                        L=getattr(args, "lipschitz", None))
+    report = run_solver(problem, config, init, args.method)
     tau = _certificate_tau(problem, report)
     certs = _certificates(problem, report.solution, tau,
                           args.vi_samples, args.vi_radius, args.seed)
@@ -379,9 +382,7 @@ def cmd_solve(args) -> int:
         print(f"flag: {flag}")
     print(_certificates_text(certs))
     print(f"report written to {out}")
-    if report.status in (SolverStatus.DIVERGED, SolverStatus.NUMERICAL_FAILURE):
-        return 1
-    return 0
+    return 1 if report.status in _FAILED else 0
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def cmd_path(args) -> int:
     else:
         raise ValidationError("give --lambdas or --auto-grid")
     entries = solve_path(problem, lams, config, method=args.method,
-                         init=init, L=args.lipschitz, warm_start=not args.cold)
+                         init=init, warm_start=not args.cold)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,9 +442,14 @@ def cmd_path(args) -> int:
     with open(out_dir / "path_coefficients.csv", "w") as fh:
         fh.write(",".join(["lambda"] + [f"beta_{j+1}" for j in range(p)]) + "\n")
         fh.write("\n".join(coef_rows) + "\n")
-    print(f"{len(entries)} lambdas solved; summary in {summary}")
+    failed = sum(e.report.status in _FAILED for e in entries)
+    print(f"{len(entries) - failed} of {len(entries)} lambdas solved; "
+          f"summary in {summary}")
     total_iter = sum(e.report.iterations for e in entries)
     print(f"total iterations: {total_iter}")
+    if failed:
+        print(f"FAILED: {failed} lambdas ended diverged or numerical_failure")
+        return 1
     return 0
 
 
@@ -485,7 +491,8 @@ def cmd_check(args) -> int:
             failures.append(("fixed-point", fp))
     if certs.get("kkt") is not None:
         kkt = certs["kkt"]["max_residual"]
-        if kkt > args.kkt_tol:
+        kkt_tol = args.fp_tol / tau if args.kkt_tol is None else args.kkt_tol
+        if kkt > kkt_tol:
             failures.append(("kkt", kkt))
     if certs.get("vi_probe") is not None:
         worst = certs["vi_probe"]["worst"]
@@ -647,14 +654,13 @@ def _add_problem_args(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--upper", help="box upper bounds, comma-separated")
     g.add_argument("--scad-a", type=float, help="SCAD shape parameter (> 2)")
     g.add_argument("--lipschitz", type=float,
-                   help="declared Lipschitz constant for U")
+                   help="declared Lipschitz constant of U (any U type)")
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
     g = sub.add_argument_group("solver configuration")
-    g.add_argument("--tau", type=float)
+    g.add_argument("--tau", type=float, help="picard/km/gra-fixed step")
     g.add_argument("--rho", type=float)
-    g.add_argument("--step", type=float)
     g.add_argument("--t-bar", dest="t_bar", type=float)
     g.add_argument("--psi", type=float)
     g.add_argument("--epsilon-lqa", dest="epsilon_lqa", type=float)
@@ -708,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--beta", help="raw candidate CSV")
     cp.add_argument("--tau", type=float, help="stepsize for the fixed-point check")
     cp.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-8)
-    cp.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-8)
+    cp.add_argument("--kkt-tol", dest="kkt_tol", type=float,
+                    help="default: fp-tol / tau")
     cp.add_argument("--vi-tol", dest="vi_tol", type=float, default=1e-8)
     cp.set_defaults(func=cmd_check)
 

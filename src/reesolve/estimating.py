@@ -39,7 +39,8 @@ class EstimatingFunction:
     """Base class: a dimension, an evaluator, and optional extras.
 
     Subclasses set ``dim`` and implement ``__call__``; they may provide an
-    analytic ``jacobian_at`` and a ``lipschitz`` bound. Instances are
+    analytic ``jacobian_at`` and a ``lipschitz`` bound, which every built-in
+    takes as a declared ``lipschitz=`` argument. Instances are
     immutable after construction and safe to share across solver runs.
     """
 
@@ -82,7 +83,7 @@ class LinearEstimating(EstimatingFunction):
     that is probed, never assumed.
     """
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, lipschitz: Optional[float] = None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -95,7 +96,7 @@ class LinearEstimating(EstimatingFunction):
         self.A = A
         self.b = b
         self.dim = A.shape[0]
-        self._lip: Optional[float] = None
+        self._lip = lipschitz
 
     def __call__(self, beta):
         return self.A @ beta - self.b
@@ -113,7 +114,7 @@ class LinearEstimating(EstimatingFunction):
 class LeastSquaresEstimating(EstimatingFunction):
     """U(beta) = -X^T (y - X beta), the negative least-squares gradient."""
 
-    def __init__(self, X, y):
+    def __init__(self, X, y, lipschitz: Optional[float] = None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2:
@@ -125,7 +126,7 @@ class LeastSquaresEstimating(EstimatingFunction):
         self.y = y
         self.dim = X.shape[1]
         self._gram: Optional[np.ndarray] = None
-        self._lip: Optional[float] = None
+        self._lip = lipschitz
 
     @property
     def gram(self) -> np.ndarray:
@@ -242,9 +243,9 @@ def _power_iteration(M: np.ndarray, rtol: float = 1e-6,
 def lipschitz_upper_bound(f: EstimatingFunction) -> Optional[float]:
     """Lipschitz bound for U, or None when none is derivable.
 
-    Linear maps get the spectral norm of A, least squares the spectral norm
-    of X^T X (both via power iteration, relative tolerance 1e-6, at most 1000
-    iterations); anything else falls back to a declared constant.
+    A constant declared at construction wins; else linear maps get the
+    spectral norm of A, least squares that of X^T X (both via power
+    iteration, relative tolerance 1e-6, at most 1000 iterations).
     """
     return f.lipschitz
 

@@ -362,11 +362,10 @@ def validate_problem(problem: EstimatingProblem) -> EstimatingProblem:
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    tau            stepsize for the plain and averaged fixed-point iterations
-                   (None: derive 1/L when a Lipschitz bound is available)
+    tau            fixed step of picard, km and gra-fixed. None means the
+                   largest admissible value from U's Lipschitz bound L:
+                   1/L, or phi/(2L) for gra-fixed
     rho            averaging weight in (0, 1) for the averaged iteration
-    step           fixed stepsize t for the anchored (golden-ratio) solver
-                   (None: use the largest admissible value)
     t_bar          stepsize cap for the adaptive golden-ratio solver
     psi            golden-ratio-like parameter in (1, (sqrt(5)+1)/2]
     epsilon_lqa    denominator offset keeping LQA weights finite at zero
@@ -380,7 +379,6 @@ class SolverConfig:
 
     tau: Optional[float] = None
     rho: float = 0.5
-    step: Optional[float] = None
     t_bar: float = 1e6
     psi: float = GOLDEN_RATIO
     epsilon_lqa: float = 1e-8
@@ -395,8 +393,6 @@ class SolverConfig:
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if not (0.0 < self.rho < 1.0):
             raise InvalidRhoError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.step is not None and not (self.step > 0.0):
-            raise StepOutOfRangeError(f"step must be positive, got {self.step}")
         if not (self.t_bar > 0.0):
             raise ValidationError(f"t_bar must be positive, got {self.t_bar}")
         if not (1.0 < self.psi <= GOLDEN_RATIO * (1.0 + 1e-12)):

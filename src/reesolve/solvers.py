@@ -77,10 +77,10 @@ def _resolve_tau(problem: EstimatingProblem, config: SolverConfig) -> float:
     if config.tau is not None:
         return config.tau
     L = lipschitz_upper_bound(problem.u)
-    if L is None or L <= 0.0:
+    if L is None or not (0.0 < L < math.inf):
         raise ValidationError(
-            "tau was not given and no Lipschitz bound is derivable for U; "
-            "set config.tau explicitly")
+            f"tau was not given and U has no positive finite Lipschitz bound "
+            f"(got {L}); set config.tau or declare U's Lipschitz constant")
     return 1.0 / L
 
 
@@ -283,7 +283,7 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     ----------
     L : float
         Lipschitz constant of U; the admissible stepsize range is
-        ``(0, phi / (2 L)]`` with ``phi = (sqrt(5)+1)/2``. ``config.step``
+        ``(0, phi / (2 L)]`` with ``phi = (sqrt(5)+1)/2``. ``config.tau``
         outside that range is rejected; when unset, the bound endpoint is
         used (the largest step the convergence guarantee permits).
     init : array or (beta, beta_bar) pair
@@ -303,10 +303,10 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     if not (L > 0.0 and math.isfinite(L)):
         raise ValidationError(f"L must be positive and finite, got {L}")
     bound = GOLDEN_RATIO / (2.0 * L)
-    t = config.step if config.step is not None else bound
+    t = config.tau if config.tau is not None else bound
     if not (0.0 < t <= bound * (1.0 + 1e-12)):
         raise StepOutOfRangeError(
-            f"step {t} outside the admissible range (0, {bound}] for L={L}")
+            f"tau {t} outside the admissible range (0, {bound}] for L={L}")
     beta, bbar, _ = _unpack_pair(init, problem.u.dim)
     return _first_order_loop(
         "gra-fixed", problem, config, beta,
@@ -453,31 +453,28 @@ def _projected_start(ball, init, dim: int):
 
 
 def _solve_gra_fixed_derived_L(problem: EstimatingProblem,
-                               config: SolverConfig, init,
-                               L: Optional[float]) -> SolverReport:
-    if L is None:
-        L = lipschitz_upper_bound(problem.u)
+                               config: SolverConfig, init) -> SolverReport:
+    L = lipschitz_upper_bound(problem.u)
     if L is None:
         raise StepOutOfRangeError(
-            "gra-fixed needs a Lipschitz constant; none was given or "
-            "derivable — pass L or use gra-adaptive")
+            "gra-fixed needs a Lipschitz constant; U declares none and none "
+            "is derivable — declare one or use gra-adaptive")
     return solve_gra_fixed(problem, config, L, init)
 
 
-# method name -> solve(problem, config, init, L); only gra-fixed uses L
+# method name -> solve(problem, config, init)
 _SOLVERS = {
-    "picard": lambda pr, cfg, init, L: solve_picard(pr, cfg, init),
-    "km": lambda pr, cfg, init, L: solve_km(pr, cfg, init),
+    "picard": solve_picard,
+    "km": solve_km,
     "gra-fixed": _solve_gra_fixed_derived_L,
-    "gra-adaptive": lambda pr, cfg, init, L: solve_gra_adaptive(pr, cfg, init),
-    "lqa-newton": lambda pr, cfg, init, L: solve_lqa_newton(pr, cfg, init),
+    "gra-adaptive": solve_gra_adaptive,
+    "lqa-newton": solve_lqa_newton,
 }
 SOLVER_NAMES = tuple(_SOLVERS)
 
 
 def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
-                      init, method: str = "picard",
-                      L: Optional[float] = None) -> SolverReport:
+                      init, method: str = "picard") -> SolverReport:
     """Solve a ball-constrained estimating equation by projected iterations.
 
     The penalty must be a :class:`BallIndicator`. Its prox is the Euclidean
@@ -487,18 +484,18 @@ def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
     if not isinstance(problem.penalty, BallIndicator):
         raise UnsupportedPenaltyError(
             "constrained solving needs a BallIndicator penalty")
-    return run_solver(problem, config, init, method, L)
+    return run_solver(problem, config, init, method)
 
 
 def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
-               method: str, L: Optional[float] = None) -> SolverReport:
+               method: str) -> SolverReport:
     """Dispatch one solve by method name.
 
     Accepts ``picard``, ``km``, ``gra-fixed``, ``gra-adaptive`` and
     ``lqa-newton`` (alias ``lqa``). For a ball-indicator penalty the
     starting point(s) are projected onto the ball first, which keeps the
     averaged km iterates feasible even when a run stops at ``max_iter``.
-    ``L`` (when needed and not given) is derived via
+    ``config.tau`` steps picard, km and gra-fixed; unset, it is derived from
     :func:`lipschitz_upper_bound`.
     """
     name = method.lower()
@@ -509,7 +506,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
             f"unknown method {method!r}; choose one of {', '.join(SOLVER_NAMES)}")
     if isinstance(problem.penalty, BallIndicator):
         init = _projected_start(problem.penalty.ball, init, problem.u.dim)
-    return _SOLVERS[name](problem, config, init, L)
+    return _SOLVERS[name](problem, config, init)
 
 
 @dataclass
@@ -526,13 +523,12 @@ class PathEntry:
 
 def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
                config: SolverConfig, method: str = "picard", init=None,
-               L: Optional[float] = None,
                warm_start: bool = True) -> list[PathEntry]:
-    """Solve over a strictly decreasing lambda grid.
+    """Solve over a strictly decreasing lambda grid with :func:`run_solver`.
 
     Warm starting (default) initializes each solve at the previous lambda's
-    solution; cold starting reuses ``init`` for every lambda. A failing
-    lambda is recorded with a numerical-failure report and the sweep
+    solution; cold starting reuses ``init`` for every lambda. A lambda whose
+    solve raises is recorded with a numerical-failure report and the sweep
     continues.
     """
     lams = [float(l) for l in lambdas]
@@ -546,7 +542,7 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     for lam in lams:
         sub = replace(problem, lam=lam)
         try:
-            report = run_solver(sub, config, current, method, L)
+            report = run_solver(sub, config, current, method)
         except (ValueError, np.linalg.LinAlgError) as exc:
             report = SolverReport(
                 method=method, status=SolverStatus.NUMERICAL_FAILURE,

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import lasso_ls_instance
 
+from reesolve import GOLDEN_RATIO
 from reesolve.cli import main
 
 
@@ -115,9 +116,10 @@ _GROUP_PENALTY = {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]}
     (None, 1),
     (None, "x"),
     (None, None),
+    ("config", {"step": 0.1}),
 ], ids=["groups-int", "groups-str", "weights-int", "lambda-null",
         "config-list", "config-tol-str", "penalty-list", "max-iter-1e400",
-        "top-list", "top-int", "top-str", "top-null"])
+        "top-list", "top-int", "top-str", "top-null", "config-step"])
 def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
     tmp, xp, yp, lam = lasso_files
     doc = {"schema_version": 1,
@@ -148,6 +150,118 @@ def test_gra_fixed_without_lipschitz_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "Lipschitz" in err or "lipschitz" in err
+
+
+@pytest.mark.parametrize("method, step", [
+    ("picard", 1.0 / 5000.0), ("km", 1.0 / 5000.0),
+    ("gra-fixed", GOLDEN_RATIO / 10000.0)])
+def test_declared_lipschitz_sets_the_step(lasso_files, capsys, method, step):
+    tmp, xp, yp, lam = lasso_files
+    out = tmp / "report.json"
+    assert main(["solve", "--method", method, "--penalty", "lasso",
+                 "--lambda", str(lam), "--design", xp, "--response", yp,
+                 "--lipschitz", "5000", "--max-iter", "10",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["stepsize"] == step
+    assert report["certificates"]["fixed_point"]["tau"] == step
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "linear"])
+def test_problem_document_lipschitz_is_honoured(tmp_path, capsys, kind):
+    rng = np.random.default_rng(104)
+    if kind == "least_squares":
+        np.savetxt(tmp_path / "X.csv", rng.standard_normal((20, 4)),
+                   delimiter=",")
+        np.savetxt(tmp_path / "y.csv", rng.standard_normal(20), delimiter=",")
+        est = {"type": kind, "design": "X.csv", "response": "y.csv"}
+    else:
+        np.savetxt(tmp_path / "A.csv", np.array([[2.0, 1.0], [-1.0, 2.0]]),
+                   delimiter=",")
+        np.savetxt(tmp_path / "b.csv", np.ones(2), delimiter=",")
+        est = {"type": kind, "matrix": "A.csv", "offset": "b.csv"}
+    doc = {"schema_version": 1, "estimating": dict(est, lipschitz=50.0),
+           "penalty": {"kind": "lasso"}, "lambda": 0.1,
+           "config": {"max_iter": 10}}
+    (tmp_path / "problem.json").write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--problem", str(tmp_path / "problem.json"),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["stepsize"] == 1.0 / 50.0
+
+
+@pytest.mark.parametrize("declared", ["abc", [1]])
+def test_problem_document_lipschitz_must_be_a_number(lasso_files, capsys,
+                                                     declared):
+    # gra-adaptive never reads L, so only the document check can catch it
+    tmp, xp, yp, lam = lasso_files
+    doc = {"schema_version": 1,
+           "estimating": {"type": "least_squares", "design": xp,
+                          "response": yp, "lipschitz": declared},
+           "penalty": {"kind": "lasso"}, "lambda": lam}
+    (tmp / "problem.json").write_text(json.dumps(doc))
+    code = main(["solve", "--problem", str(tmp / "problem.json"),
+                 "--method", "gra-adaptive", "--out", str(tmp / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infinite_lipschitz_exits_2(lasso_files, capsys):
+    # tau = 1/inf = 0 would make every start a fixed point
+    tmp, xp, yp, lam = lasso_files
+    code = main(["solve", "--penalty", "lasso", "--lambda", str(lam),
+                 "--design", xp, "--response", yp, "--lipschitz", "inf",
+                 "--out", str(tmp / "report.json")])
+    assert code == 2
+    assert "Lipschitz" in capsys.readouterr().err
+
+
+def _unscaled_files(tmp_path):
+    """A 40 x 8 design left unscaled, so L is about 60 and tau small."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((40, 8))
+    y = X @ np.array([2.0, -1.5, 0, 0, 1.0, 0, 0, 0.8])
+    y += 0.1 * rng.standard_normal(40)
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    lam = 0.2 * float(np.abs(X.T @ y).max())
+    return ["--design", str(tmp_path / "X.csv"),
+            "--response", str(tmp_path / "y.csv")], lam
+
+
+@pytest.mark.parametrize("method", ["picard", "km", "gra-fixed",
+                                    "gra-adaptive"])
+@pytest.mark.parametrize("penalty", ["lasso", "group-lasso",
+                                     "sparse-group-lasso"])
+def test_solve_then_check_passes_at_default_settings(tmp_path, capsys,
+                                                     method, penalty):
+    # KKT is about ||f(beta) - beta|| / tau: with tau near 0.01 an absolute
+    # KKT tolerance of 1e-8 failed solves that met their own stopping rule
+    files, lam = _unscaled_files(tmp_path)
+    problem = ["--penalty", penalty] + files
+    if penalty != "lasso":
+        problem += ["--groups", "1,2;3,4;5,6;7,8"]
+    out = tmp_path / "report.json"
+    assert main(["solve", "--method", method, "--lambda", str(lam),
+                 "--out", str(out)] + problem) == 0
+    assert main(["check", "--report", str(out)] + problem) == 0
+    assert "all certificates pass" in capsys.readouterr().out
+
+
+def test_check_default_kkt_tol_still_rejects(tmp_path, capsys):
+    files, lam = _unscaled_files(tmp_path)
+    problem = ["--penalty", "lasso"] + files
+    out = tmp_path / "report.json"
+    assert main(["solve", "--lambda", str(lam), "--out", str(out)]
+                + problem) == 0
+    # an explicit tolerance still wins over the derived one
+    assert main(["check", "--report", str(out), "--kkt-tol", "1e-8"]
+                + problem) == 1
+    report = json.loads(out.read_text())
+    report["solution"] = [b + 1e-3 for b in report["solution"]]
+    out.write_text(json.dumps(report))
+    assert main(["check", "--report", str(out)] + problem) == 1
+    assert "FAILED: worst violation" in capsys.readouterr().out
 
 
 def test_check_round_trip_bit_for_bit(lasso_files, capsys):
@@ -385,6 +499,27 @@ def test_path_cold_start(tmp_path, lasso_files):
     assert code == 0
     rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_path_exits_1_when_lambdas_fail(tmp_path, capsys):
+    # logistic U declares no Lipschitz bound, so gra-fixed fails on every
+    # lambda; solve_path records the failures and the command reports them
+    rng = np.random.default_rng(102)
+    np.savetxt(tmp_path / "X.csv", rng.standard_normal((30, 3)), delimiter=",")
+    np.savetxt(tmp_path / "y.csv", (rng.uniform(size=30) < 0.5).astype(float),
+               delimiter=",")
+    out_dir = tmp_path / "path"
+    code = main(["path", "--method", "gra-fixed", "--family", "logistic",
+                 "--penalty", "lasso", "--lambdas", "0.2,0.1",
+                 "--design", str(tmp_path / "X.csv"),
+                 "--response", str(tmp_path / "y.csv"),
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "0 of 2 lambdas solved" in text
+    assert "FAILED: 2 lambdas" in text
+    rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["numerical_failure"] * 2
 
 
 def test_path_summary_kkt_reuses_certificates(lasso_files):

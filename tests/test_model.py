@@ -22,7 +22,6 @@ from reesolve import (
     ScadParameterError,
     SolverConfig,
     SparseGroupLasso,
-    StepOutOfRangeError,
     UncoveredIndexError,
     ValidationError,
     as_coefficients,
@@ -173,8 +172,6 @@ class TestSolverConfig:
             SolverConfig(max_iter=0)
         with pytest.raises(ValidationError):
             SolverConfig(tau=-1.0)
-        with pytest.raises(StepOutOfRangeError):
-            SolverConfig(step=0.0)
         with pytest.raises(ValidationError):
             SolverConfig(epsilon_lqa=0.0)
 

@@ -29,7 +29,9 @@ from reesolve import (
     UnsupportedPenaltyError,
     kkt_residual,
     lambda_max,
+    lipschitz_upper_bound,
     oracle_lasso_cd,
+    project_ball,
     run_solver,
     solve_constrained,
     solve_gra_adaptive,
@@ -154,7 +156,7 @@ class TestGraFixed:
     def test_step_bound_enforced(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=2)
         L = u.lipschitz
-        bad = SolverConfig(step=GOLDEN_RATIO / (2 * L) * 1.01, tol=1e-9)
+        bad = SolverConfig(tau=GOLDEN_RATIO / (2 * L) * 1.01, tol=1e-9)
         with pytest.raises(StepOutOfRangeError):
             solve_gra_fixed(prob, bad, L, np.zeros(10))
 
@@ -333,6 +335,15 @@ class TestAnchoredRecursionsExact:
 
 
 FIRST_ORDER = ("picard", "km", "gra-fixed", "gra-adaptive")
+# method name -> the solver run_solver must reach, called directly
+DIRECT = {
+    "picard": solve_picard,
+    "km": solve_km,
+    "gra-fixed": lambda pr, cfg, init: solve_gra_fixed(
+        pr, cfg, lipschitz_upper_bound(pr.u), init),
+    "gra-adaptive": solve_gra_adaptive,
+    "lqa-newton": solve_lqa_newton,
+}
 PART_22 = GroupPartition([[0, 1], [2, 3]])
 PROPERTY_PENALTIES = (
     Lasso(), Ridge(), ElasticNet(ratio=0.5), GroupLasso(PART_22),
@@ -361,7 +372,7 @@ class TestSharedLoop:
            b=arrays(float, 4, elements=st.floats(-1e308, 1e308)),
            lam=st.floats(0.0, 2.0),
            penalty=st.sampled_from(PROPERTY_PENALTIES),
-           method=st.sampled_from(FIRST_ORDER),
+           method=st.sampled_from(tuple(DIRECT)),
            record=st.booleans())
     def test_random_linear_u_ends_in_typed_status(self, A, b, lam, penalty,
                                                   method, record):
@@ -370,7 +381,25 @@ class TestSharedLoop:
         prob = EstimatingProblem(u=LinearEstimating(A, b), penalty=penalty,
                                  lam=lam)
         cfg = SolverConfig(tol=1e-8, max_iter=200, record_iterates=record)
-        rep = run_solver(prob, cfg, np.full(4, 0.5), method)
+        init = np.full(4, 0.5)
+        if method == "lqa-newton" and not isinstance(penalty, Lasso):
+            with pytest.raises(UnsupportedPenaltyError):
+                run_solver(prob, cfg, init, method)
+            return
+        rep = run_solver(prob, cfg, init, method)
+        # run_solver adds only the projection of the start onto a ball
+        if isinstance(penalty, BallIndicator):
+            init = project_ball(penalty.ball, init)
+        direct = DIRECT[method](prob, cfg, init)
+        assert (rep.method, rep.status, rep.iterations, rep.flags) == (
+            direct.method, direct.status, direct.iterations, direct.flags)
+        assert rep.trace == direct.trace
+        assert (rep.initial_residual, rep.stepsize) == (
+            direct.initial_residual, direct.stepsize)
+        for got, want in ((rep.solution, direct.solution),
+                          (rep.iterates, direct.iterates),
+                          (rep.anchors, direct.anchors)):
+            assert (got is None and want is None) or np.array_equal(got, want)
         assert isinstance(rep.status, SolverStatus)
         assert len(rep.trace) == rep.iterations
         if not record:
