@@ -158,6 +158,8 @@ def _penalty_from_doc(doc: dict) -> PenaltySpec:
 def _estimating_from_doc(doc: dict, base: Path) -> EstimatingFunction:
     kind = str(doc.get("type", "least_squares")).replace("-", "_")
     declared = doc.get("lipschitz")
+    if isinstance(declared, bool):  # float(True) would read it as 1.0
+        raise ValidationError(f"'lipschitz' must be a number, got {declared}")
     if declared is not None:
         declared = float(declared)
     if kind in ("least_squares", "logistic"):
@@ -466,7 +468,8 @@ def cmd_check(args) -> int:
         # a block stored as null (certificate not applicable) counts as absent
         stored = rep.get("certificates") or {}
         fp_stored = stored.get("fixed_point") or {}
-        tau = float(fp_stored.get("tau", args.tau or 1.0))
+        # an explicit --tau wins, as --kkt-tol does
+        tau = float(fp_stored.get("tau", 1.0) if args.tau is None else args.tau)
         vi_stored = stored.get("vi_probe") or {}
         samples = int(vi_stored.get("samples", args.vi_samples))
         radius = float(vi_stored.get("radius", args.vi_radius))

@@ -80,7 +80,8 @@ class LinearEstimating(EstimatingFunction):
     """U(beta) = A beta - b for a general (possibly non-symmetric) A.
 
     Monotone exactly when the symmetric part of A is positive semidefinite;
-    that is probed, never assumed.
+    that is probed, never assumed. Unless declared, ``lipschitz`` is the
+    spectral norm of A, from the largest eigenvalue of ``A^T A``.
     """
 
     def __init__(self, A, b, lipschitz: Optional[float] = None):
@@ -107,12 +108,16 @@ class LinearEstimating(EstimatingFunction):
     @property
     def lipschitz(self) -> float:
         if self._lip is None:
-            self._lip = float(np.sqrt(_power_iteration(self.A.T @ self.A)))
+            self._lip = float(np.sqrt(_largest_eigenvalue(self.A.T @ self.A)))
         return self._lip
 
 
 class LeastSquaresEstimating(EstimatingFunction):
-    """U(beta) = -X^T (y - X beta), the negative least-squares gradient."""
+    """U(beta) = -X^T (y - X beta), the negative least-squares gradient.
+
+    Unless declared, ``lipschitz`` is the largest eigenvalue of ``X^T X``,
+    computed from the smaller of ``X X^T`` and the cached ``gram``.
+    """
 
     def __init__(self, X, y, lipschitz: Optional[float] = None):
         X = np.asarray(X, dtype=float)
@@ -143,7 +148,9 @@ class LeastSquaresEstimating(EstimatingFunction):
     @property
     def lipschitz(self) -> float:
         if self._lip is None:
-            self._lip = float(_power_iteration(self.gram))
+            n, p = self.X.shape
+            self._lip = _largest_eigenvalue(
+                self.X @ self.X.T if n < p else self.gram)
         return self._lip
 
 
@@ -220,32 +227,17 @@ def jacobian(f: EstimatingFunction, beta, allow_fd: bool = False) -> np.ndarray:
     return J
 
 
-def _power_iteration(M: np.ndarray, rtol: float = 1e-6,
-                     max_iter: int = 1000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= rtol * max(abs(lam_new), 1.0):
-            return lam_new
-        lam = lam_new
-    return lam
+def _largest_eigenvalue(M: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix (0 for an empty one)."""
+    return float(np.linalg.eigvalsh(M).max(initial=0.0))
 
 
 def lipschitz_upper_bound(f: EstimatingFunction) -> Optional[float]:
     """Lipschitz bound for U, or None when none is derivable.
 
     A constant declared at construction wins; else linear maps get the
-    spectral norm of A, least squares that of X^T X (both via power
-    iteration, relative tolerance 1e-6, at most 1000 iterations).
+    spectral norm of A and least squares that of X^T X, both exact up to
+    rounding (one symmetric eigenvalue decomposition, cached).
     """
     return f.lipschitz
 

@@ -127,26 +127,29 @@ class _Run:
 
 
 def _first_order_loop(method: str, problem: EstimatingProblem,
-                      config: SolverConfig, beta: np.ndarray, steps,
+                      config: SolverConfig, beta: np.ndarray, make_steps,
                       anchor: Optional[np.ndarray] = None,
                       final_prox_image: bool = False) -> SolverReport:
     """The iteration loop shared by picard, km and both golden-ratio solvers.
 
-    ``steps`` is the method's generator. It yields ``(beta, t, theta,
-    anchor)`` for every point, the starting point first, where ``t`` is the
-    stepsize that produced the point (at the start, the one its residual is
-    measured with). It is then sent ``(u, fb)``: ``u = U(beta)`` and the
-    prox image ``fb = prox_{t*lam*Omega}(beta - t*u)``, whose distance to
-    ``beta`` is the fixed-point residual. Everything else lives here: the
-    divergence guard, the trace and recordings, the tolerance test and
-    ``max_iter``. A non-finite value anywhere in an iteration ends the run
-    as diverged, reporting the last point the method produced.
+    ``make_steps(beta, u)`` builds the method's step generator from the
+    starting point and ``u = U(beta)``, the only evaluation of U there. The
+    generator yields ``(beta, t, theta, anchor)`` for every point, the
+    starting point first, where ``t`` is the stepsize that produced the
+    point (at the start, the one its residual is measured with). It is then
+    sent ``(u, fb)``: ``u = U(beta)`` and the prox image
+    ``fb = prox_{t*lam*Omega}(beta - t*u)``, whose distance to ``beta`` is
+    the fixed-point residual. Everything else lives here: the divergence
+    guard, the trace and recordings, the tolerance test and ``max_iter``. A
+    non-finite value anywhere in an iteration ends the run as diverged,
+    reporting the last point the method produced.
     """
     run = _Run(method, config, beta, anchor)
     status, t, r0 = SolverStatus.MAX_ITER_REACHED, None, math.inf
     try:
-        beta, t, theta, anchor = next(steps)
         u = evaluate(problem.u, beta)
+        steps = make_steps(beta, u)
+        beta, t, theta, anchor = next(steps)
         fb = prox(problem.penalty, beta - t * u, t * problem.lam)
         r0 = float(np.linalg.norm(fb - beta))
         if r0 <= config.tol:
@@ -195,7 +198,7 @@ def _averaged_iteration(problem: EstimatingProblem, config: SolverConfig,
     tau = _resolve_tau(problem, config)
     beta = as_coefficients(init, problem.u.dim).copy()
     return _first_order_loop(method, problem, config, beta,
-                             _averaged_steps(beta, tau, mix),
+                             lambda b, u: _averaged_steps(b, tau, mix),
                              final_prox_image=mix < 1.0)
 
 
@@ -234,7 +237,7 @@ def _unpack_pair(init, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
-                        beta: np.ndarray, bbar: np.ndarray,
+                        beta: np.ndarray, u: np.ndarray, bbar: np.ndarray,
                         t: Optional[float] = None,
                         beta_prev: Optional[np.ndarray] = None,
                         t_bar: float = math.inf):
@@ -245,15 +248,13 @@ def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
     ``beta <- prox_{t*lam*Omega}(bbar - t*U(beta))``. Given ``t``, the
     stepsize stays fixed; given ``beta_prev`` instead, it adapts as described
     in :func:`solve_gra_adaptive` and every point carries its ``theta``.
+    ``u`` is U at the starting point ``beta``.
     """
     adaptive = beta_prev is not None
     theta = None
     if adaptive:
         rho = 1.0 / psi + 1.0 / psi ** 2
         u_prev = evaluate(problem.u, beta_prev)
-        # the loop evaluates U at the starting point again: one extra call
-        # per solve keeps every point's evaluation inside the loop
-        u = evaluate(problem.u, beta)
         du = float(np.linalg.norm(u - u_prev))
         t = (float(np.linalg.norm(beta - beta_prev)) / du
              if du > 0.0 else t_bar)
@@ -276,16 +277,17 @@ def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
 
 
 def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
-                    L: float, init) -> SolverReport:
+                    init) -> SolverReport:
     """Golden-ratio scheme with a fixed stepsize.
+
+    L is :func:`lipschitz_upper_bound` of U; the admissible stepsize range
+    is ``(0, phi / (2 L)]`` with ``phi = (sqrt(5)+1)/2``. ``config.tau``
+    outside it, or a U without L, raises :class:`StepOutOfRangeError`; when
+    unset, the bound endpoint is used (the largest step the convergence
+    guarantee permits).
 
     Parameters
     ----------
-    L : float
-        Lipschitz constant of U; the admissible stepsize range is
-        ``(0, phi / (2 L)]`` with ``phi = (sqrt(5)+1)/2``. ``config.tau``
-        outside that range is rejected; when unset, the bound endpoint is
-        used (the largest step the convergence guarantee permits).
     init : array or (beta, beta_bar) pair
         Starting iterate and anchor; a single vector starts both there.
 
@@ -300,6 +302,11 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     sequences are recorded.
     """
     validate_problem(problem)
+    L = lipschitz_upper_bound(problem.u)
+    if L is None:
+        raise StepOutOfRangeError(
+            "gra-fixed needs a Lipschitz constant; U declares none and none "
+            "is derivable — declare one or use gra-adaptive")
     if not (L > 0.0 and math.isfinite(L)):
         raise ValidationError(f"L must be positive and finite, got {L}")
     bound = GOLDEN_RATIO / (2.0 * L)
@@ -310,7 +317,8 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     beta, bbar, _ = _unpack_pair(init, problem.u.dim)
     return _first_order_loop(
         "gra-fixed", problem, config, beta,
-        _golden_ratio_steps(problem, GOLDEN_RATIO, beta, bbar, t=t),
+        lambda b, u: _golden_ratio_steps(problem, GOLDEN_RATIO, b, u, bbar,
+                                         t=t),
         anchor=bbar)
 
 
@@ -352,8 +360,9 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
     bbar = beta.copy()
     return _first_order_loop(
         "gra-adaptive", problem, config, beta,
-        _golden_ratio_steps(problem, config.psi, beta, bbar,
-                            beta_prev=beta_prev, t_bar=config.t_bar),
+        lambda b, u: _golden_ratio_steps(problem, config.psi, b, u, bbar,
+                                         beta_prev=beta_prev,
+                                         t_bar=config.t_bar),
         anchor=bbar)
 
 
@@ -452,21 +461,11 @@ def _projected_start(ball, init, dim: int):
     return (a, b) if was_pair and not np.array_equal(a, b) else b
 
 
-def _solve_gra_fixed_derived_L(problem: EstimatingProblem,
-                               config: SolverConfig, init) -> SolverReport:
-    L = lipschitz_upper_bound(problem.u)
-    if L is None:
-        raise StepOutOfRangeError(
-            "gra-fixed needs a Lipschitz constant; U declares none and none "
-            "is derivable — declare one or use gra-adaptive")
-    return solve_gra_fixed(problem, config, L, init)
-
-
 # method name -> solve(problem, config, init)
 _SOLVERS = {
     "picard": solve_picard,
     "km": solve_km,
-    "gra-fixed": _solve_gra_fixed_derived_L,
+    "gra-fixed": solve_gra_fixed,
     "gra-adaptive": solve_gra_adaptive,
     "lqa-newton": solve_lqa_newton,
 }
@@ -495,8 +494,9 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
     ``lqa-newton`` (alias ``lqa``). For a ball-indicator penalty the
     starting point(s) are projected onto the ball first, which keeps the
     averaged km iterates feasible even when a run stops at ``max_iter``.
+    Every solver has the signature ``solve(problem, config, init)``.
     ``config.tau`` steps picard, km and gra-fixed; unset, it is derived from
-    :func:`lipschitz_upper_bound`.
+    :func:`lipschitz_upper_bound` (``1/L``, or ``phi/(2L)`` for gra-fixed).
     """
     name = method.lower()
     if name == "lqa":

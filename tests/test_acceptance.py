@@ -227,10 +227,9 @@ def test_criterion_6_non_gradient_monotone_case():
     A = np.array([[2.0, 1.0], [-1.0, 2.0]])
     u = LinearEstimating(A, np.array([1.0, 1.0]))
     prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
-    L = u.lipschitz
 
     cfg = SolverConfig(tol=1e-15, max_iter=10_000)
-    rep_f = solve_gra_fixed(prob, cfg, L, np.zeros(2))
+    rep_f = solve_gra_fixed(prob, cfg, np.zeros(2))
     rep_a = solve_gra_adaptive(prob, cfg, np.zeros(2))
     env_f = rate_envelope_check(rep_f, InverseKEnvelope())
     env_a = rate_envelope_check(rep_a, InverseKEnvelope())

@@ -117,9 +117,13 @@ _GROUP_PENALTY = {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]}
     (None, "x"),
     (None, None),
     ("config", {"step": 0.1}),
+    # float(True) is 1.0; the fixture's X.csv and y.csv sit beside the file
+    ("estimating", {"type": "least_squares", "design": "X.csv",
+                    "response": "y.csv", "lipschitz": True}),
 ], ids=["groups-int", "groups-str", "weights-int", "lambda-null",
         "config-list", "config-tol-str", "penalty-list", "max-iter-1e400",
-        "top-list", "top-int", "top-str", "top-null", "config-step"])
+        "top-list", "top-int", "top-str", "top-null", "config-step",
+        "lipschitz-bool"])
 def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
     tmp, xp, yp, lam = lasso_files
     doc = {"schema_version": 1,
@@ -229,18 +233,23 @@ def _unscaled_files(tmp_path):
             "--response", str(tmp_path / "y.csv")], lam
 
 
+_GROUPS = ["--groups", "1,2;3,4;5,6;7,8"]
+# penalty -> the flags it needs besides --penalty
+_ROUND_TRIP_PENALTIES = {
+    "lasso": [], "group-lasso": _GROUPS, "sparse-group-lasso": _GROUPS,
+    "ridge": [], "elastic-net": [], "ball": ["--ball-norm", "l2"],
+}
+
+
 @pytest.mark.parametrize("method", ["picard", "km", "gra-fixed",
                                     "gra-adaptive"])
-@pytest.mark.parametrize("penalty", ["lasso", "group-lasso",
-                                     "sparse-group-lasso"])
+@pytest.mark.parametrize("penalty", list(_ROUND_TRIP_PENALTIES))
 def test_solve_then_check_passes_at_default_settings(tmp_path, capsys,
                                                      method, penalty):
     # KKT is about ||f(beta) - beta|| / tau: with tau near 0.01 an absolute
     # KKT tolerance of 1e-8 failed solves that met their own stopping rule
     files, lam = _unscaled_files(tmp_path)
-    problem = ["--penalty", penalty] + files
-    if penalty != "lasso":
-        problem += ["--groups", "1,2;3,4;5,6;7,8"]
+    problem = ["--penalty", penalty] + _ROUND_TRIP_PENALTIES[penalty] + files
     out = tmp_path / "report.json"
     assert main(["solve", "--method", method, "--lambda", str(lam),
                  "--out", str(out)] + problem) == 0
@@ -262,6 +271,19 @@ def test_check_default_kkt_tol_still_rejects(tmp_path, capsys):
     out.write_text(json.dumps(report))
     assert main(["check", "--report", str(out)] + problem) == 1
     assert "FAILED: worst violation" in capsys.readouterr().out
+
+
+def test_check_explicit_tau_wins(tmp_path, capsys):
+    files, lam = _unscaled_files(tmp_path)
+    problem = ["--penalty", "lasso"] + files
+    out = tmp_path / "report.json"
+    assert main(["solve", "--lambda", str(lam), "--out", str(out)]
+                + problem) == 0
+    stored = json.loads(out.read_text())["certificates"]["fixed_point"]["tau"]
+    assert stored != 0.5
+    capsys.readouterr()
+    main(["check", "--report", str(out), "--tau", "0.5"] + problem)
+    assert "fixed-point residual (tau=0.5)" in capsys.readouterr().out
 
 
 def test_check_round_trip_bit_for_bit(lasso_files, capsys):

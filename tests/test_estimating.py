@@ -122,20 +122,24 @@ class TestLipschitz:
 
     def test_least_squares_matches_eigvalsh(self):
         rng = np.random.default_rng(4)
-        X = rng.standard_normal((40, 6))
-        u = LeastSquaresEstimating(X, rng.standard_normal(40))
-        exact = float(np.linalg.eigvalsh(X.T @ X).max())
-        assert abs(lipschitz_upper_bound(u) - exact) <= 1e-5 * exact
+        # n > p, a wide n < p (L comes from X X^T) and a taller design
+        for n, p in [(40, 6), (20, 60), (300, 40)]:
+            X = rng.standard_normal((n, p))
+            u = LeastSquaresEstimating(X, rng.standard_normal(n))
+            exact = float(np.linalg.eigvalsh(X.T @ X).max())
+            assert abs(lipschitz_upper_bound(u) - exact) <= 1e-12 * exact
 
     def test_bounds_sampled_difference_quotients(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((5, 5))
         u = LinearEstimating(A, np.zeros(5))
         L = lipschitz_upper_bound(u)
+        assert L == pytest.approx(np.linalg.svd(A, compute_uv=False)[0],
+                                  rel=1e-12)
         for _ in range(100):
             b1, b2 = rng.standard_normal(5), rng.standard_normal(5)
             ratio = np.linalg.norm(u(b1) - u(b2)) / np.linalg.norm(b1 - b2)
-            assert ratio <= L * (1 + 1e-5)
+            assert ratio <= L * (1 + 1e-12)
 
 
 class TestMonotonicityProbe:

@@ -29,7 +29,6 @@ from reesolve import (
     UnsupportedPenaltyError,
     kkt_residual,
     lambda_max,
-    lipschitz_upper_bound,
     oracle_lasso_cd,
     project_ball,
     run_solver,
@@ -158,7 +157,7 @@ class TestGraFixed:
         L = u.lipschitz
         bad = SolverConfig(tau=GOLDEN_RATIO / (2 * L) * 1.01, tol=1e-9)
         with pytest.raises(StepOutOfRangeError):
-            solve_gra_fixed(prob, bad, L, np.zeros(10))
+            solve_gra_fixed(prob, bad, np.zeros(10))
 
     def test_monotone_nonsymmetric_instance(self):
         A = np.array([[2.0, 1.0], [-1.0, 2.0]])
@@ -167,7 +166,7 @@ class TestGraFixed:
         L = u.lipschitz
         assert L == pytest.approx(np.sqrt(5.0), rel=1e-5)
         cfg = SolverConfig(tol=1e-10, max_iter=100000)
-        rep = solve_gra_fixed(prob, cfg, L, np.zeros(2))
+        rep = solve_gra_fixed(prob, cfg, np.zeros(2))
         assert rep.converged
         assert rep.stepsize == pytest.approx(GOLDEN_RATIO / (2 * L))
         assert kkt_residual(prob, rep.solution).max_residual <= 1e-8
@@ -178,16 +177,15 @@ class TestGraFixed:
         A = np.array([[2.0, 1.0], [-1.0, 2.0]])
         u = LinearEstimating(A, np.array([1.0, 1.0]))
         prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
-        L = u.lipschitz
         cfg = SolverConfig(tol=1e-11, max_iter=100000)
-        sol = solve_gra_fixed(prob, cfg, L, np.zeros(2)).solution
-        rep = solve_gra_fixed(prob, SolverConfig(tol=1e-9), L, (sol, sol.copy()))
+        sol = solve_gra_fixed(prob, cfg, np.zeros(2)).solution
+        rep = solve_gra_fixed(prob, SolverConfig(tol=1e-9), (sol, sol.copy()))
         assert rep.converged and rep.iterations == 0
 
     def test_anchor_sequence_recorded(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=3)
         cfg = SolverConfig(tol=1e-9, max_iter=100000)
-        rep = solve_gra_fixed(prob, cfg, u.lipschitz, np.zeros(10))
+        rep = solve_gra_fixed(prob, cfg, np.zeros(10))
         assert rep.anchors is not None
         assert rep.anchors.shape[0] >= rep.iterations
 
@@ -216,10 +214,30 @@ class TestGraAdaptive:
         u = LinearEstimating(A, np.array([1.0, 1.0]))
         prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
         cfg = SolverConfig(tol=1e-11, max_iter=100000)
-        rep_f = solve_gra_fixed(prob, cfg, u.lipschitz, np.zeros(2))
+        rep_f = solve_gra_fixed(prob, cfg, np.zeros(2))
         rep_a = solve_gra_adaptive(prob, cfg, np.zeros(2))
         assert rep_a.converged
         assert np.max(np.abs(rep_a.solution - rep_f.solution)) <= 1e-6
+
+    def test_u_evaluated_once_at_start(self):
+        # one call at each of the two starting points, one per iteration
+        X, y, u, lam, prob = lasso_ls_instance(seed=5)
+        calls = []
+
+        def counted(b):
+            calls.append(1)
+            return u(b)
+
+        cfg = SolverConfig(tol=1e-9, max_iter=100000)
+        counting = EstimatingProblem(u=CustomEstimating(u.dim, counted),
+                                     penalty=prob.penalty, lam=lam)
+        rep = solve_gra_adaptive(counting, cfg, np.zeros(10))
+        assert rep.converged
+        assert len(calls) == rep.iterations + 2
+        ref = solve_gra_adaptive(prob, cfg, np.zeros(10))
+        assert rep.trace == ref.trace
+        assert np.array_equal(rep.iterates, ref.iterates)
+        assert np.array_equal(rep.anchors, ref.anchors)
 
     def test_theta_recorded(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=5)
@@ -292,7 +310,7 @@ class TestAnchoredRecursionsExact:
         rng = np.random.default_rng(0)
         beta1 = rng.standard_normal(6)
         bbar0 = rng.standard_normal(6)
-        rep = solve_gra_fixed(prob, cfg, L, (beta1.copy(), bbar0.copy()))
+        rep = solve_gra_fixed(prob, cfg, (beta1.copy(), bbar0.copy()))
 
         beta, bbar = beta1.copy(), bbar0.copy()
         for k in range(6):
@@ -339,8 +357,7 @@ FIRST_ORDER = ("picard", "km", "gra-fixed", "gra-adaptive")
 DIRECT = {
     "picard": solve_picard,
     "km": solve_km,
-    "gra-fixed": lambda pr, cfg, init: solve_gra_fixed(
-        pr, cfg, lipschitz_upper_bound(pr.u), init),
+    "gra-fixed": solve_gra_fixed,
     "gra-adaptive": solve_gra_adaptive,
     "lqa-newton": solve_lqa_newton,
 }
