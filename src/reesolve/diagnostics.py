@@ -229,6 +229,25 @@ class ViProbeResult:
     tol: float
 
 
+# about 1 MB of float64 per block of probe points
+_BLOCK_ELEMENTS = 2 ** 17
+
+
+def _row_blocks(samples: int, p: int):
+    """``(start, stop)`` row ranges of ``max(2, 2**17 // p)`` rows covering
+    ``samples``. A one-row remainder joins the block before it: numpy
+    multiplies a single row by another BLAS path, which can round
+    differently, so no block has one row unless ``samples == 1``."""
+    rows = max(2, _BLOCK_ELEMENTS // p)
+    start = 0
+    while start < samples:
+        stop = min(start + rows, samples)
+        if samples - stop == 1:
+            stop = samples
+        yield start, stop
+        start = stop
+
+
 def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
              radius: float, seed: int, tol: float = 1e-8) -> ViProbeResult:
     """Sample the inequality
@@ -244,7 +263,10 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
     radius, p)``, so probes that share them (every lambda of a path) reuse
     one draw for an integer seed. The last draw stays cached between calls:
     one read-only ``samples x p`` float64 matrix, 3.2 MB for 1000 samples at
-    p=400.
+    p=400. The points ``bh + offset`` are formed and valued a block of rows
+    at a time (about 1 MB each), so a probe's temporaries stay at that size
+    whatever ``samples`` is, and the worst point is rebuilt from its offset.
+    Every value matches a probe over the whole matrix bit for bit.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -252,25 +274,35 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
         raise ValidationError("radius must be positive")
     validate_problem(problem)
     beta_hat = as_coefficients(beta_hat, problem.u.dim)
-    B = beta_hat + _probe_offsets(seed, samples, radius, beta_hat.size)
+    offsets = _probe_offsets(seed, samples, radius, beta_hat.size)
 
     u_hat = evaluate(problem.u, beta_hat)
     pen = problem.penalty
-    if isinstance(pen, BallIndicator):
-        if not math.isfinite(penalty_value(pen, beta_hat)):
-            return ViProbeResult(False, -math.inf, None, samples, radius,
-                                 seed, tol)
-        B = np.vstack([project_ball(pen.ball, row) for row in B])
-        values = (B - beta_hat) @ u_hat
-    else:
-        values = (B - beta_hat) @ u_hat
-        if problem.lam > 0.0:
-            omega_hat = _omega_rows(pen, beta_hat[None, :])[0]
-            values = values + problem.lam * (_omega_rows(pen, B) - omega_hat)
+    ball = pen.ball if isinstance(pen, BallIndicator) else None
+    if ball is not None and not math.isfinite(penalty_value(pen, beta_hat)):
+        return ViProbeResult(False, -math.inf, None, samples, radius, seed, tol)
+    with_omega = ball is None and problem.lam > 0.0
+    if with_omega:
+        omega_hat = _omega_rows(pen, beta_hat[None, :])[0]
+
+    def points(rows: np.ndarray) -> np.ndarray:
+        B = beta_hat + rows
+        if ball is not None:
+            B = np.vstack([project_ball(ball, row) for row in B])
+        return B
+
+    values = np.empty(samples)
+    for start, stop in _row_blocks(samples, beta_hat.size):
+        B = points(offsets[start:stop])
+        block = (B - beta_hat) @ u_hat
+        if with_omega:
+            block = block + problem.lam * (_omega_rows(pen, B) - omega_hat)
+        values[start:stop] = block
 
     worst_idx = int(np.argmin(values))
     worst = float(values[worst_idx])
-    return ViProbeResult(worst >= -tol, worst, B[worst_idx].copy(),
+    return ViProbeResult(worst >= -tol, worst,
+                         points(offsets[worst_idx:worst_idx + 1])[0],
                          samples, radius, seed, tol)
 
 

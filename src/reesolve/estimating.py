@@ -38,10 +38,16 @@ __all__ = [
 class EstimatingFunction:
     """Base class: a dimension, an evaluator, and optional extras.
 
-    Subclasses set ``dim`` and implement ``__call__``; they may provide an
-    analytic ``jacobian_at`` and a ``lipschitz`` bound, which every built-in
-    takes as a declared ``lipschitz=`` argument. Instances are
-    immutable after construction and safe to share across solver runs.
+    Subclasses set ``dim`` and implement ``__call__``, returning a float
+    vector of length ``dim``; they may provide an analytic ``jacobian_at``
+    and a ``lipschitz`` bound, which every built-in takes as a declared
+    ``lipschitz=`` argument. Instances are immutable after construction and
+    safe to share across solver runs.
+
+    :func:`evaluate` checks an output's shape and finiteness. The
+    first-order solvers check U's output at the starting point that way and
+    call U directly on every later iterate, where a non-finite output ends
+    the run as diverged through the fixed-point residual.
     """
 
     dim: int
@@ -140,7 +146,8 @@ class LeastSquaresEstimating(EstimatingFunction):
         return self._gram
 
     def __call__(self, beta):
-        return -self.X.T @ (self.y - self.X @ beta)
+        # X^T (X beta - y): negating the n-vector, not the n x p design
+        return self.X.T @ (self.X @ beta - self.y)
 
     def jacobian_at(self, beta):
         return self.gram
@@ -177,7 +184,7 @@ class LogisticEstimating(EstimatingFunction):
         self.lipschitz = lipschitz
 
     def __call__(self, beta):
-        return -self.X.T @ (self.y - expit(self.X @ beta))
+        return self.X.T @ (expit(self.X @ beta) - self.y)
 
     def jacobian_at(self, beta):
         mu = expit(self.X @ beta)

@@ -128,6 +128,19 @@ def prox(spec: PenaltySpec, v, scale: float) -> np.ndarray:
     _check_spec_dim(spec, v.size)
     if not (scale >= 0.0):
         raise NegativeScaleError(f"scale must be >= 0, got {scale}")
+    return _prox(spec, v, scale)
+
+
+def _prox(spec: PenaltySpec, v: np.ndarray, scale: float) -> np.ndarray:
+    """:func:`prox` without its checks, for callers that have validated the
+    penalty, the point's length and the scale once: ``v`` a float vector,
+    ``scale >= 0``.
+
+    A non-finite ``v`` gives a non-finite result. Ball projections still
+    check their input (a box would clip an infinite coordinate to a finite
+    bound), so there a non-finite ``v`` raises :class:`NonFiniteOutputError`
+    as it does in :func:`prox`.
+    """
     if isinstance(spec, BallIndicator):
         return project_ball(spec.ball, v)
     if scale == 0.0:

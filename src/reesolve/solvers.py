@@ -48,7 +48,7 @@ from .model import (
     as_coefficients,
     validate_problem,
 )
-from .penalties import lqa_weight_diag, project_ball, prox
+from .penalties import _prox, lqa_weight_diag, project_ball, prox
 
 __all__ = [
     "solve_picard",
@@ -143,23 +143,31 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
     guard, the trace and recordings, the tolerance test and ``max_iter``. A
     non-finite value anywhere in an iteration ends the run as diverged,
     reporting the last point the method produced.
+
+    Inputs are checked once: the start point goes through the public
+    :func:`evaluate` and :func:`prox`, which check shapes and finiteness.
+    Every later iterate calls U directly and the unchecked
+    :func:`penalties._prox`; there a non-finite U or step makes the residual
+    non-finite, which the divergence guard catches (a ball projection checks
+    its own input and raises instead, which ends the run the same way).
     """
     run = _Run(method, config, beta, anchor)
     status, t, r0 = SolverStatus.MAX_ITER_REACHED, None, math.inf
+    u_fn, pen, lam = problem.u, problem.penalty, problem.lam
     try:
-        u = evaluate(problem.u, beta)
+        u = evaluate(u_fn, beta)
         steps = make_steps(beta, u)
         beta, t, theta, anchor = next(steps)
-        fb = prox(problem.penalty, beta - t * u, t * problem.lam)
+        fb = prox(pen, beta - t * u, t * lam)
         r0 = float(np.linalg.norm(fb - beta))
         if r0 <= config.tol:
             return run.report(SolverStatus.CONVERGED, beta, r0, t)
         for k in range(1, config.max_iter + 1):
             beta, t, theta, anchor = steps.send((u, fb))
-            u = evaluate(problem.u, beta)
-            fb = prox(problem.penalty, beta - t * u, t * problem.lam)
+            u = u_fn(beta)
+            fb = _prox(pen, beta - t * u, t * lam)
             r = float(np.linalg.norm(fb - beta))
-            # evaluate() has rejected a non-finite beta; NaN fails the test
+            # NaN fails the test, so a non-finite beta or U(beta) stops here
             if not r <= DIVERGENCE_RESIDUAL:
                 status = SolverStatus.DIVERGED
                 break
@@ -273,7 +281,7 @@ def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
             t = t_next
             beta_prev, u_prev = beta, u
         bbar = ((psi - 1.0) * beta + bbar) / psi
-        beta = prox(problem.penalty, bbar - t * u, t * problem.lam)
+        beta = _prox(problem.penalty, bbar - t * u, t * problem.lam)
 
 
 def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,

@@ -166,7 +166,8 @@ class TestViProbe:
 
 
 def _probe_reference(problem, beta_hat, samples, radius, seed, tol=1e-8):
-    """vi_probe as it was before its draw was cached: a fresh draw per call."""
+    """vi_probe as it was before its draw was cached and its points blocked:
+    a fresh draw per call and one pass over the whole matrix."""
     beta_hat = np.asarray(beta_hat, dtype=float)
     p = beta_hat.size
     rng = np.random.default_rng(seed)
@@ -237,6 +238,34 @@ class TestViProbeCachedDraw:
         for args in (first, first, second, first):
             _assert_same_probe(vi_probe(problem, beta_hat, *args),
                                _probe_reference(problem, beta_hat, *args))
+
+    @pytest.mark.parametrize("kind", ["lasso", "group_lasso"])
+    def test_row_blocks_match_whole_matrix_bit_for_bit(self, kind):
+        # at p=400 a block holds 327 rows: these counts give one short
+        # block, one full block, a one-row remainder joined to the block
+        # before it, three blocks, and four with a 19-row tail
+        p = 400
+        rows = max(2, diagnostics._BLOCK_ELEMENTS // p)
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((p, p))
+        u = LinearEstimating(M @ M.T / p + np.eye(p), rng.standard_normal(p))
+        penalty = (Lasso() if kind == "lasso" else GroupLasso(GroupPartition(
+            [list(range(i, i + 5)) for i in range(0, p, 5)])))
+        prob = EstimatingProblem(u=u, penalty=penalty, lam=0.3)
+        beta_hat = 0.1 * rng.standard_normal(p)
+        for samples in (rows - 1, rows, rows + 1, 2 * rows + 1, 1000):
+            _assert_same_probe(
+                vi_probe(prob, beta_hat, samples, 1.0, seed=samples),
+                _probe_reference(prob, beta_hat, samples, 1.0, samples))
+
+    @given(samples=st.integers(1, 2000), p=st.integers(1, 2 ** 18))
+    def test_row_blocks_tile_the_samples(self, samples, p):
+        blocks = list(diagnostics._row_blocks(samples, p))
+        assert blocks[0][0] == 0 and blocks[-1][1] == samples
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [stop - start for start, stop in blocks]
+        assert min(sizes) >= min(2, samples)
+        assert max(sizes) <= max(2, diagnostics._BLOCK_ELEMENTS // p) + 1
 
     def test_offsets_are_read_only(self):
         offsets = diagnostics._probe_offsets(3, 20, 1.5, 4)

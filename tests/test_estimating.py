@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from reesolve import (
     CustomEstimating,
@@ -53,6 +54,23 @@ class TestEvaluate:
     def test_logistic_requires_binary_response(self):
         with pytest.raises(ValidationError):
             LogisticEstimating(np.eye(2), np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (50, 40), (100, 400), (400, 30)])
+    def test_u_matches_negated_design_form_bit_for_bit(self, shape):
+        # U is computed as X^T (r - y) with r = X beta or sigmoid(X beta);
+        # it equals the textbook -X^T (y - r) exactly, because IEEE negation
+        # and subtraction are sign-symmetric
+        rng = np.random.default_rng(shape[1])
+        n, p = shape
+        for _ in range(20):
+            X = rng.standard_normal((n, p)) * rng.uniform(0.01, 10.0)
+            beta = rng.standard_normal(p) * rng.uniform(0.01, 10.0)
+            y = rng.standard_normal(n)
+            ls = LeastSquaresEstimating(X, y)
+            assert np.array_equal(ls(beta), -X.T @ (y - X @ beta))
+            y01 = (rng.uniform(size=n) < 0.5).astype(float)
+            lg = LogisticEstimating(X, y01)
+            assert np.array_equal(lg(beta), -X.T @ (y01 - expit(X @ beta)))
 
 
 class TestJacobian:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -382,6 +384,46 @@ class TestSharedLoop:
         prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
         rep = run_solver(prob, SolverConfig(), np.zeros(3), method)
         assert rep.status is SolverStatus.DIVERGED
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("penalty", [
+        Lasso(), Ridge(), GroupLasso(PART_22),
+        BallIndicator(BallConstraint("box", lower=-np.ones(4),
+                                     upper=np.ones(4))),
+    ], ids=["lasso", "ridge", "group", "box"])
+    @pytest.mark.parametrize("method", FIRST_ORDER)
+    def test_u_turning_non_finite_ends_diverged(self, method, penalty, bad):
+        # only the start point's U goes through evaluate(); a later
+        # non-finite U must still end the run at that iteration, silently,
+        # reporting the point U failed at and the iterations before it
+        rng = np.random.default_rng(31)
+        M = rng.standard_normal((4, 4))
+        A, c = M @ M.T / 4 + np.eye(4), rng.standard_normal(4)
+        L = float(np.linalg.norm(A, 2))
+        seen = []
+
+        def f(beta):
+            seen.append(beta.copy())
+            return A @ beta - c if len(seen) < 6 else np.full(4, bad)
+
+        cfg = SolverConfig(tol=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_solver(
+                EstimatingProblem(u=CustomEstimating(4, f, lipschitz=L),
+                                  penalty=penalty, lam=0.1),
+                cfg, np.zeros(4), method)
+        clean = run_solver(
+            EstimatingProblem(u=LinearEstimating(A, c, lipschitz=L),
+                              penalty=penalty, lam=0.1),
+            cfg, np.zeros(4), method)
+        # gra-adaptive also evaluates U at its second starting point
+        k = 6 - (2 if method == "gra-adaptive" else 1)
+        assert rep.status is SolverStatus.DIVERGED
+        assert rep.iterations == k - 1 and rep.trace == clean.trace[:k - 1]
+        assert np.array_equal(rep.solution, seen[5])
+        assert np.array_equal(rep.solution, clean.iterates[k])
+        assert np.array_equal(rep.iterates, clean.iterates[:k])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
