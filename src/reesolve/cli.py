@@ -70,25 +70,17 @@ def _fmt(x: float) -> str:
 
 
 def _sanitize(obj):
-    """Make a report JSON-safe: numpy scalars/arrays to plain Python,
-    non-finite floats to portable string sentinels."""
+    """Make a report JSON-safe: arrays to lists, non-finite floats to
+    portable string sentinels. ``json`` writes the rest itself (np.float64
+    is a float, and a str enum is written as its value)."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, SolverStatus):
-        return obj.value
+        return _sanitize(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
@@ -181,6 +173,27 @@ def _estimating_from_doc(doc: dict, base: Path) -> EstimatingFunction:
     raise ValidationError(f"unknown estimating type '{kind}'")
 
 
+# flag dest -> (document block, key, parser of the flag's text). A flag left
+# unset (None or "") keeps the document's value. Rows run in this order, so
+# new keys enter a report's problem block in a fixed order.
+_FLAG_FIELDS = (
+    ("response", "estimating", "response", None),
+    ("offset", "estimating", "offset", None),
+    ("family", "estimating", "type", lambda text: text.replace("-", "_")),
+    ("lipschitz", "estimating", "lipschitz", None),
+    ("penalty", "penalty", "kind", None),
+    ("groups", "penalty", "groups", _parse_groups),
+    ("group_weights", "penalty", "weights", _parse_float_list),
+    ("alpha", "penalty", "alpha", None),
+    ("enet_ratio", "penalty", "ratio", None),
+    ("ball_norm", "penalty", "norm", None),
+    ("radius", "penalty", "radius", None),
+    ("lower", "penalty", "lower", _parse_float_list),
+    ("upper", "penalty", "upper", _parse_float_list),
+    ("scad_a", "penalty", "a", None),
+)
+
+
 def _merge_problem_doc(args) -> tuple[dict, Path]:
     """Combine a --problem JSON document with flag overrides."""
     doc: dict = {"schema_version": SCHEMA_VERSION}
@@ -197,59 +210,33 @@ def _merge_problem_doc(args) -> tuple[dict, Path]:
             raise ValidationError(
                 f"problem file {path} is missing 'schema_version'")
         base = path.parent
-    est = dict(doc.get("estimating", {}))
+    blocks = {block: dict(doc.get(block, {}))
+              for block in ("estimating", "penalty")}
+    doc.update(blocks)
+    est = blocks["estimating"]
     if getattr(args, "design", None):
         est.update(type=est.get("type", "least_squares"), design=args.design)
         base = Path(".")
-    if getattr(args, "response", None):
-        est["response"] = args.response
     if getattr(args, "matrix", None):
         est.update(type="linear", matrix=args.matrix)
-    if getattr(args, "offset", None):
-        est["offset"] = args.offset
-    if getattr(args, "family", None):
-        est["type"] = args.family.replace("-", "_")
-    if getattr(args, "lipschitz", None) is not None:
-        est["lipschitz"] = args.lipschitz
-    doc["estimating"] = est
-
-    pen = dict(doc.get("penalty", {}))
-    if getattr(args, "penalty", None):
-        pen["kind"] = args.penalty
-    if getattr(args, "groups", None):
-        pen["groups"] = _parse_groups(args.groups)
-    if getattr(args, "group_weights", None):
-        pen["weights"] = _parse_float_list(args.group_weights)
-    if getattr(args, "alpha", None) is not None:
-        pen["alpha"] = args.alpha
-    if getattr(args, "enet_ratio", None) is not None:
-        pen["ratio"] = args.enet_ratio
-    if getattr(args, "ball_norm", None):
-        pen["norm"] = args.ball_norm
-    if getattr(args, "radius", None) is not None:
-        pen["radius"] = args.radius
-    if getattr(args, "lower", None):
-        pen["lower"] = _parse_float_list(args.lower)
-    if getattr(args, "upper", None):
-        pen["upper"] = _parse_float_list(args.upper)
-    if getattr(args, "scad_a", None) is not None:
-        pen["a"] = args.scad_a
-    doc["penalty"] = pen
-
+    for dest, block, key, parse in _FLAG_FIELDS:
+        value = getattr(args, dest, None)
+        if value is not None and value != "":
+            blocks[block][key] = parse(value) if parse else value
     if getattr(args, "lam", None) is not None:
         doc["lambda"] = args.lam
     return doc, base
 
 
-def _build_problem(args) -> tuple[EstimatingProblem, dict, Path]:
+def _build_problem(args) -> tuple[EstimatingProblem, dict]:
     doc, base = _merge_problem_doc(args)
-    if not doc.get("penalty", {}).get("kind"):
+    if not doc["penalty"].get("kind"):
         raise ValidationError("no penalty given (use --penalty or a problem file)")
     u = _estimating_from_doc(doc.get("estimating", {}), base)
     penalty = _penalty_from_doc(doc["penalty"])
     lam = float(doc.get("lambda", 0.0))
     problem = validate_problem(EstimatingProblem(u=u, penalty=penalty, lam=lam))
-    return problem, doc, base
+    return problem, doc
 
 
 def _config_from_args(args, doc: dict) -> SolverConfig:
@@ -280,57 +267,48 @@ def _initial_point(args, dim: int) -> np.ndarray:
 # Certificates
 # ---------------------------------------------------------------------------
 
+def _if_supported(certificate, *inputs):
+    """Run one certificate; None when the penalty lacks what it needs
+    (nonconvex penalties have no prox; only the LQA baseline handles them)."""
+    try:
+        return certificate(*inputs)
+    except UnsupportedPenaltyError:
+        return None
+
+
 def _certificates(problem: EstimatingProblem, beta: np.ndarray, tau: float,
                   samples: int, radius: float, seed: int) -> dict:
-    certs: dict = {}
-    try:
-        certs["fixed_point"] = {
-            "tau": tau,
-            "residual": fixed_point_residual(problem, beta, tau),
-        }
-    except UnsupportedPenaltyError:
-        # nonconvex penalties have no prox; only the LQA baseline handles them
-        certs["fixed_point"] = None
-    if problem.lam > 0.0:
-        try:
-            certs["kkt"] = {"max_residual": kkt_residual(problem, beta).max_residual}
-        except UnsupportedPenaltyError:
-            certs["kkt"] = None
-    else:
-        certs["kkt"] = None
-    try:
-        probe = vi_probe(problem, beta, samples, radius, seed)
-        certs["vi_probe"] = {
+    """The three certificate blocks at ``beta``. A block is None where it
+    does not apply: the penalty does not support it, KKT at lambda 0, or a
+    non-finite ``beta`` (a diverged run), which no certificate can value."""
+    fp = kkt = probe = None
+    if np.isfinite(beta).all():
+        fp = _if_supported(fixed_point_residual, problem, beta, tau)
+        if problem.lam > 0.0:
+            kkt = _if_supported(kkt_residual, problem, beta)
+        probe = _if_supported(vi_probe, problem, beta, samples, radius, seed)
+    return {
+        "fixed_point": None if fp is None else {"tau": tau, "residual": fp},
+        "kkt": None if kkt is None else {"max_residual": kkt.max_residual},
+        "vi_probe": None if probe is None else {
             "samples": probe.samples, "radius": probe.radius, "seed": probe.seed,
             "worst": probe.worst_value, "passed": probe.passed,
-        }
-    except UnsupportedPenaltyError:
-        certs["vi_probe"] = None
-    return certs
+        },
+    }
 
 
 def _certificates_text(certs: dict) -> str:
-    lines = []
-    fp = certs.get("fixed_point")
-    if fp is not None:
-        lines.append(
-            f"fixed-point residual (tau={_fmt(fp['tau'])}): {_fmt(fp['residual'])}")
-    else:
-        lines.append("fixed-point residual: not applicable")
-    if certs.get("kkt") is not None:
-        lines.append(f"kkt residual (max): {_fmt(certs['kkt']['max_residual'])}")
-    else:
-        lines.append("kkt residual: not applicable")
-    vi = certs.get("vi_probe")
-    if vi is not None:
-        verdict = "pass" if vi["passed"] else "FAIL"
-        lines.append(
-            f"vi probe: {verdict} (samples={vi['samples']}, "
-            f"radius={_fmt(vi['radius'])}, seed={vi['seed']}, "
-            f"worst={_fmt(vi['worst'])})")
-    else:
-        lines.append("vi probe: not applicable")
-    return "\n".join(lines)
+    fp, kkt, vi = certs["fixed_point"], certs["kkt"], certs["vi_probe"]
+    return "\n".join([
+        "fixed-point residual: not applicable" if fp is None else
+        f"fixed-point residual (tau={_fmt(fp['tau'])}): {_fmt(fp['residual'])}",
+        "kkt residual: not applicable" if kkt is None else
+        f"kkt residual (max): {_fmt(kkt['max_residual'])}",
+        "vi probe: not applicable" if vi is None else
+        f"vi probe: {'pass' if vi['passed'] else 'FAIL'} "
+        f"(samples={vi['samples']}, radius={_fmt(vi['radius'])}, "
+        f"seed={vi['seed']}, worst={_fmt(vi['worst'])})",
+    ])
 
 
 def _certificate_tau(problem: EstimatingProblem,
@@ -341,26 +319,34 @@ def _certificate_tau(problem: EstimatingProblem,
     return 1.0 / L if L else 1.0
 
 
-def _report_to_dict(report: SolverReport, doc: dict, certs: dict) -> dict:
-    return _sanitize({
-        "schema_version": SCHEMA_VERSION,
-        "method": report.method,
-        "status": report.status,
-        "iterations": report.iterations,
-        "initial_residual": report.initial_residual,
-        "stepsize": report.stepsize,
-        "flags": list(report.flags),
-        "solution": report.solution,
-        "config": asdict(report.config),
-        "trace": {
-            "k": [rec.k for rec in report.trace],
-            "fp_residual": [rec.fp_residual for rec in report.trace],
-            "step": [rec.step for rec in report.trace],
-            "theta": [rec.theta for rec in report.trace],
-        },
-        "certificates": certs,
-        "problem": doc,
-    })
+def _write_report(path: Path, problem: EstimatingProblem, report: SolverReport,
+                  doc: dict, args) -> dict:
+    """Certify ``report.solution``, write the JSON report to ``path`` and
+    return the certificate blocks."""
+    tau = _certificate_tau(problem, report)
+    certs = _certificates(problem, report.solution, tau,
+                          args.vi_samples, args.vi_radius, args.seed)
+    with open(path, "w") as fh:
+        json.dump(_sanitize({
+            "schema_version": SCHEMA_VERSION,
+            "method": report.method,
+            "status": report.status,
+            "iterations": report.iterations,
+            "initial_residual": report.initial_residual,
+            "stepsize": report.stepsize,
+            "flags": report.flags,
+            "solution": report.solution,
+            "config": asdict(report.config),
+            "trace": {
+                "k": [rec.k for rec in report.trace],
+                "fp_residual": [rec.fp_residual for rec in report.trace],
+                "step": [rec.step for rec in report.trace],
+                "theta": [rec.theta for rec in report.trace],
+            },
+            "certificates": certs,
+            "problem": doc,
+        }), fh, indent=2)
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +354,12 @@ def _report_to_dict(report: SolverReport, doc: dict, certs: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    problem, doc, _ = _build_problem(args)
+    problem, doc = _build_problem(args)
     config = _config_from_args(args, doc)
     init = _initial_point(args, problem.u.dim)
     report = run_solver(problem, config, init, args.method)
-    tau = _certificate_tau(problem, report)
-    certs = _certificates(problem, report.solution, tau,
-                          args.vi_samples, args.vi_radius, args.seed)
     out = Path(args.out)
-    with open(out, "w") as fh:
-        json.dump(_report_to_dict(report, doc, certs), fh, indent=2)
+    certs = _write_report(out, problem, report, doc, args)
     print(f"method: {report.method}")
     print(f"status: {report.status.value} (iterations={report.iterations})")
     for flag in report.flags:
@@ -392,7 +374,7 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_path(args) -> int:
-    problem, doc, _ = _build_problem(args)
+    problem, doc = _build_problem(args)
     config = _config_from_args(args, doc)
     init = _initial_point(args, problem.u.dim)
     if args.lambdas:
@@ -414,11 +396,8 @@ def cmd_path(args) -> int:
     for i, entry in enumerate(entries):
         report = entry.report
         sub = replace(problem, lam=entry.lam)
-        tau = _certificate_tau(sub, report)
-        sub_doc = dict(doc)
-        sub_doc["lambda"] = entry.lam
-        certs = _certificates(sub, report.solution, tau,
-                              args.vi_samples, args.vi_radius, args.seed)
+        certs = _write_report(out_dir / f"report_{i:03d}.json", sub, report,
+                              {**doc, "lambda": entry.lam}, args)
         # the summary column reuses the certificate's KKT value; at lambda 0
         # the certificates skip KKT, but the column still reports it
         kkt = certs["kkt"]["max_residual"] if certs["kkt"] is not None else None
@@ -428,8 +407,6 @@ def cmd_path(args) -> int:
             except ReesolveError:
                 pass
         kkt_text = "" if kkt is None else _fmt(kkt)
-        with open(out_dir / f"report_{i:03d}.json", "w") as fh:
-            json.dump(_report_to_dict(report, sub_doc, certs), fh, indent=2)
         summary_rows.append(
             f"{_fmt(entry.lam)},{entry.nonzeros},{report.iterations},"
             f"{kkt_text},{report.status.value}")
@@ -459,22 +436,31 @@ def cmd_path(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
+def _stored_block(parent: dict, key: str) -> dict:
+    """A report block; one stored as null (certificate not applicable) or
+    left out reads as empty."""
+    block = parent.get(key)
+    if block is not None and not isinstance(block, dict):
+        raise ValidationError(f"report field '{key}' must be a JSON object or "
+                              f"null, not {type(block).__name__}")
+    return block or {}
+
+
 def cmd_check(args) -> int:
-    problem, _, _ = _build_problem(args)
+    problem, _ = _build_problem(args)
     if args.report:
         with open(args.report) as fh:
             rep = json.load(fh)
         beta = as_coefficients(rep["solution"], problem.u.dim)
-        # a block stored as null (certificate not applicable) counts as absent
-        stored = rep.get("certificates") or {}
-        fp_stored = stored.get("fixed_point") or {}
+        stored = _stored_block(rep, "certificates")
+        fp_stored = _stored_block(stored, "fixed_point")
         # an explicit --tau wins, as --kkt-tol does
         tau = float(fp_stored.get("tau", 1.0) if args.tau is None else args.tau)
-        vi_stored = stored.get("vi_probe") or {}
+        vi_stored = _stored_block(stored, "vi_probe")
         samples = int(vi_stored.get("samples", args.vi_samples))
         radius = float(vi_stored.get("radius", args.vi_radius))
         seed = int(vi_stored.get("seed", args.seed))
-        lam = rep.get("problem", {}).get("lambda")
+        lam = _stored_block(rep, "problem").get("lambda")
         if lam is not None and getattr(args, "lam", None) is None:
             problem = replace(problem, lam=float(lam))
     elif args.beta:
@@ -615,6 +601,9 @@ def cmd_bench(args) -> int:
     if "schema_version" not in manifest:
         raise ValidationError(
             f"manifest {args.manifest} is missing 'schema_version'")
+    if int(manifest.get("repeats", 1)) < 1:
+        raise ValidationError(
+            f"manifest field 'repeats' must be >= 1, got {manifest['repeats']}")
     rows = bench_rows(manifest)
     with open(args.out, "w") as fh:
         fh.write(",".join(BENCH_COLUMNS) + "\n")
@@ -679,6 +668,15 @@ def _add_probe_args(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--vi-radius", dest="vi_radius", type=float, default=1.0)
 
 
+def _add_solve_args(sub: argparse.ArgumentParser) -> None:
+    """Arguments shared by solve and path."""
+    _add_problem_args(sub)
+    _add_config_args(sub)
+    _add_probe_args(sub)
+    sub.add_argument("--method", default="picard", choices=METHOD_CHOICES)
+    sub.add_argument("--init", help="initial point CSV (default: zeros)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reesolve",
@@ -686,27 +684,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("solve", help="run one solver on one problem")
-    _add_problem_args(sp)
-    _add_config_args(sp)
-    _add_probe_args(sp)
-    sp.add_argument("--method", default="picard",
-                    choices=METHOD_CHOICES)
-    sp.add_argument("--init", help="initial point CSV (default: zeros)")
+    _add_solve_args(sp)
     sp.add_argument("--out", default="report.json", help="report JSON path")
     sp.set_defaults(func=cmd_solve)
 
     pp = subs.add_parser("path", help="solve over a decreasing lambda grid")
-    _add_problem_args(pp)
-    _add_config_args(pp)
-    _add_probe_args(pp)
-    pp.add_argument("--method", default="picard",
-                    choices=METHOD_CHOICES)
+    _add_solve_args(pp)
     pp.add_argument("--lambdas", help="comma-separated decreasing grid")
     pp.add_argument("--auto-grid", dest="auto_grid", type=int,
                     help="log-spaced grid size from lambda_max down two decades")
     pp.add_argument("--cold", action="store_true",
                     help="cold-start every lambda (default: warm start)")
-    pp.add_argument("--init", help="initial point CSV")
     pp.add_argument("--out-dir", dest="out_dir", default="path_out")
     pp.set_defaults(func=cmd_path)
 
@@ -734,10 +722,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, OverflowError) as exc:
         # ValueError covers the package's typed errors, malformed numbers in
         # CSV/JSON inputs, and json decoding failures; TypeError covers
-        # problem documents whose fields have the wrong JSON type
+        # problem documents whose fields have the wrong JSON type;
+        # OverflowError covers JSON numbers read as +-inf where a count is
+        # needed, or integers too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

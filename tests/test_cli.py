@@ -6,10 +6,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import lasso_ls_instance
 
-from reesolve import GOLDEN_RATIO
+from reesolve import GOLDEN_RATIO, cli
 from reesolve.cli import main
 
 
@@ -120,10 +122,12 @@ _GROUP_PENALTY = {"kind": "group_lasso", "groups": [[1, 2], [3, 4], [5, 6]]}
     # float(True) is 1.0; the fixture's X.csv and y.csv sit beside the file
     ("estimating", {"type": "least_squares", "design": "X.csv",
                     "response": "y.csv", "lipschitz": True}),
+    # a JSON integer too large for a float
+    ("lambda", 10**400),
 ], ids=["groups-int", "groups-str", "weights-int", "lambda-null",
         "config-list", "config-tol-str", "penalty-list", "max-iter-1e400",
         "top-list", "top-int", "top-str", "top-null", "config-step",
-        "lipschitz-bool"])
+        "lipschitz-bool", "lambda-huge-int"])
 def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
     tmp, xp, yp, lam = lasso_files
     doc = {"schema_version": 1,
@@ -606,3 +610,236 @@ def test_solve_divergent_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "diverged" in capsys.readouterr().out
+
+
+def _overflowing_lqa(tmp_path):
+    """LQA's Newton step overflows on U = 1e-300 * I - 1e10: the run ends
+    diverged at [inf, inf]."""
+    np.savetxt(tmp_path / "A.csv", 1e-300 * np.eye(2), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", np.full(2, 1e10), delimiter=",")
+    return ["--matrix", str(tmp_path / "A.csv"),
+            "--offset", str(tmp_path / "b.csv"),
+            "--penalty", "lasso", "--method", "lqa"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_solve_non_finite_solution_gets_null_certificates(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["solve", "--lambda", "1e-300", "--out", str(out)]
+                + _overflowing_lqa(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().out.count("not applicable") == 3
+    report = json.loads(out.read_text())
+    assert report["status"] == "diverged"
+    assert report["solution"] == ["inf", "inf"]
+    assert set(report["certificates"].values()) == {None}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_path_non_finite_solutions_write_every_report(tmp_path, capsys):
+    out_dir = tmp_path / "path"
+    code = main(["path", "--lambdas", "2e-300,1e-300",
+                 "--out-dir", str(out_dir)] + _overflowing_lqa(tmp_path))
+    assert code == 1
+    assert "FAILED: 2 lambdas" in capsys.readouterr().out
+    for i in range(2):
+        report = json.loads((out_dir / f"report_{i:03d}.json").read_text())
+        assert set(report["certificates"].values()) == {None}
+    rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[3:] for r in rows] == [["", "diverged"]] * 2
+    coefs = (out_dir / "path_coefficients.csv").read_text().strip().splitlines()
+    assert [r.split(",")[1:] for r in coefs[1:]] == [["inf", "inf"]] * 2
+
+
+# patch -> report fields it replaces; a "certificates" dict is merged into
+# the stored one, so only the named block changes
+@pytest.mark.parametrize("patch", [
+    {"certificates": True}, {"certificates": [1]}, {"certificates": "x"},
+    {"certificates": {"fixed_point": True}},
+    {"certificates": {"fixed_point": [1]}},
+    {"certificates": {"fixed_point": "x"}},
+    {"certificates": {"vi_probe": True}}, {"certificates": {"vi_probe": [1]}},
+    {"certificates": {"vi_probe": "x"}},
+    {"problem": True}, {"problem": [1]}, {"problem": "x"},
+    {"certificates": {"vi_probe": {"samples": math.inf}}},
+    {"certificates": {"vi_probe": {"seed": -math.inf}}},
+], ids=["certs-true", "certs-list", "certs-str", "fp-true", "fp-list",
+        "fp-str", "vi-true", "vi-list", "vi-str", "problem-true",
+        "problem-list", "problem-str", "samples-1e400", "seed-minus-1e400"])
+def test_malformed_report_exits_2(lasso_files, capsys, patch):
+    tmp, xp, yp, lam = lasso_files
+    out = tmp / "report.json"
+    problem = ["--penalty", "lasso", "--design", xp, "--response", yp]
+    assert main(["solve", "--lambda", str(lam), "--vi-samples", "50",
+                 "--out", str(out)] + problem) == 0
+    report = json.loads(out.read_text())
+    for field, value in patch.items():
+        if field == "certificates" and isinstance(value, dict):
+            for block, fields in value.items():
+                report[field][block] = (dict(report[field][block], **fields)
+                                        if isinstance(fields, dict) else fields)
+        else:
+            report[field] = value
+    # 1e400 is valid JSON that reads back as inf
+    out.write_text(json.dumps(report).replace("Infinity", "1e400"))
+    capsys.readouterr()
+    assert main(["check", "--report", str(out)] + problem) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_check_report_with_null_problem_block(lasso_files, capsys):
+    # a null block reads as absent, so the lambda comes from the flags
+    tmp, xp, yp, lam = lasso_files
+    out = tmp / "report.json"
+    problem = ["--penalty", "lasso", "--lambda", str(lam),
+               "--design", xp, "--response", yp]
+    assert main(["solve", "--tol", "1e-10", "--max-iter", "200000",
+                 "--out", str(out)] + problem) == 0
+    report = json.loads(out.read_text())
+    report["problem"] = None
+    out.write_text(json.dumps(report))
+    assert main(["check", "--report", str(out)] + problem) == 0
+    assert "all certificates pass" in capsys.readouterr().out
+
+
+def test_bench_rejects_zero_repeats(tmp_path, capsys):
+    mpath = tmp_path / "bench.json"
+    mpath.write_text(json.dumps({"schema_version": 1, "n": 20, "p": 10,
+                                 "solver": "picard", "repeats": 0}))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--manifest", str(mpath), "--out", str(out)]) == 2
+    assert "'repeats'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (dest, flag argv, document block, key, the value the flag stands for):
+# one case per row of the flag table
+_FLAG_CASES = [
+    ("response", ["--response", "y.csv"], "estimating", "response", "y.csv"),
+    ("offset", ["--offset", "y.csv"], "estimating", "offset", "y.csv"),
+    ("family", ["--family", "least-squares"], "estimating", "type",
+     "least_squares"),
+    ("lipschitz", ["--lipschitz", "50"], "estimating", "lipschitz", 50.0),
+    ("penalty", ["--penalty", "ridge"], "penalty", "kind", "ridge"),
+    ("groups", ["--groups", "1,2;3"], "penalty", "groups", [[1, 2], [3]]),
+    ("group_weights", ["--group-weights", "1,2.5"], "penalty", "weights",
+     [1.0, 2.5]),
+    ("alpha", ["--alpha", "0.3"], "penalty", "alpha", 0.3),
+    ("enet_ratio", ["--enet-ratio", "0.7"], "penalty", "ratio", 0.7),
+    ("ball_norm", ["--ball-norm", "l1"], "penalty", "norm", "l1"),
+    ("radius", ["--radius", "0.5"], "penalty", "radius", 0.5),
+    ("lower", ["--lower=-1,-2,-3"], "penalty", "lower", [-1.0, -2.0, -3.0]),
+    ("upper", ["--upper", "1,2,3"], "penalty", "upper", [1.0, 2.0, 3.0]),
+    ("scad_a", ["--scad-a", "3.2"], "penalty", "a", 3.2),
+]
+
+
+def test_flag_cases_cover_the_flag_table():
+    assert ([row[:3] for row in cli._FLAG_FIELDS]
+            == [(dest, block, key) for dest, _, block, key, _ in _FLAG_CASES])
+
+
+@pytest.mark.parametrize("dest, flag, block, key, value", _FLAG_CASES,
+                         ids=[case[0] for case in _FLAG_CASES])
+def test_flag_and_document_key_agree(tmp_path, dest, flag, block, key, value):
+    rng = np.random.default_rng(105)
+    np.savetxt(tmp_path / "X.csv", rng.standard_normal((8, 3)), delimiter=",")
+    np.savetxt(tmp_path / "y.csv", rng.standard_normal(8), delimiter=",")
+    # lasso ignores the other penalties' fields, so every case solves
+    doc = {"schema_version": 1,
+           "estimating": {"type": "least_squares", "design": "X.csv",
+                          "response": "y.csv"},
+           "penalty": {"kind": "lasso"}, "lambda": 0.1}
+
+    def problem_block(name, document, extra):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / f"{name}_report.json"
+        assert main(["solve", "--problem", str(path), "--max-iter", "50",
+                     "--vi-samples", "20", "--out", str(out)] + extra) == 0
+        return json.loads(out.read_text())["problem"]
+
+    from_flag = problem_block("flag", doc, flag)
+    doc[block] = dict(doc[block], **{key: value})
+    from_doc = problem_block("doc", doc, [])
+    assert from_flag[block][key] == value
+    # same keys in the same order, so the report text matches too
+    assert json.dumps(from_flag) == json.dumps(from_doc)
+
+
+_U_BLOCKS = [
+    {"type": "least_squares", "design": "X.csv", "response": "y.csv"},
+    {"type": "logistic", "design": "X.csv", "response": "y01.csv"},
+    {"type": "linear", "matrix": "A.csv", "offset": "b.csv"},
+]
+_PENALTY_BLOCKS = [
+    {"kind": "ridge"},
+    {"kind": "lasso"},
+    {"kind": "elastic_net", "ratio": 0.5},
+    {"kind": "group_lasso", "groups": [[1, 2], [3]], "weights": [1.0, 2.0]},
+    {"kind": "sparse_group_lasso", "groups": [[1], [2, 3]], "alpha": 0.5},
+    {"kind": "ball", "norm": "l1", "radius": 1.0},
+    {"kind": "ball", "norm": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3},
+    {"kind": "scad", "a": 3.7},
+]
+_CONFIG_KEYS = ("max_iter", "tol", "tau", "rho", "t_bar", "psi", "epsilon_lqa",
+                "zero_threshold")
+# no "/" in strings, so a file name never leaves the data directory
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _problem_documents(draw):
+    """A valid document over tiny data with up to two fields replaced by a
+    JSON value of the wrong type or range."""
+    doc = {"schema_version": 1,
+           "estimating": dict(draw(st.sampled_from(_U_BLOCKS))),
+           "penalty": dict(draw(st.sampled_from(_PENALTY_BLOCKS))),
+           "lambda": draw(st.floats(0.0, 1.0)),
+           "config": {"max_iter": draw(st.integers(1, 1000)), "tol": 1e-8}}
+    paths = ([(key,) for key in doc]
+             + [(block, key) for block in ("estimating", "penalty")
+                for key in doc[block]]
+             + [("config", key) for key in _CONFIG_KEYS])
+    for path in draw(st.lists(st.sampled_from(paths), max_size=2,
+                              unique=True)):
+        target = doc
+        for key in path[:-1]:
+            target = target[key] if isinstance(target.get(key), dict) else {}
+        target[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("property")
+    rng = np.random.default_rng(106)
+    np.savetxt(tmp / "X.csv", rng.standard_normal((8, 3)), delimiter=",")
+    np.savetxt(tmp / "y.csv", rng.standard_normal(8), delimiter=",")
+    np.savetxt(tmp / "y01.csv", rng.integers(0, 2, 8), delimiter=",")
+    np.savetxt(tmp / "A.csv", np.eye(3) + 0.3 * rng.standard_normal((3, 3)),
+               delimiter=",")
+    np.savetxt(tmp / "b.csv", rng.standard_normal(3), delimiter=",")
+    return tmp
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_problem_documents(), method=st.sampled_from(cli.METHOD_CHOICES))
+def test_problem_documents_never_traceback(property_dir, doc, method):
+    config = doc.get("config")
+    max_iter = config.get("max_iter") if isinstance(config, dict) else None
+    # a valid but huge iteration cap would only make the run slow
+    assume(not (isinstance(max_iter, (int, float))
+                and not isinstance(max_iter, bool) and max_iter > 1000))
+    path = property_dir / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--problem", str(path), "--method", method,
+                 "--vi-samples", "20", "--out", str(property_dir / "r.json")])
+    assert code in (0, 1, 2)
