@@ -53,7 +53,6 @@ from .model import (
     UnsupportedPenaltyError,
     ValidationError,
     as_coefficients,
-    validate_problem,
 )
 from .solvers import SOLVER_NAMES, lambda_max, run_solver, solve_path
 
@@ -235,7 +234,7 @@ def _build_problem(args) -> tuple[EstimatingProblem, dict]:
     u = _estimating_from_doc(doc.get("estimating", {}), base)
     penalty = _penalty_from_doc(doc["penalty"])
     lam = float(doc.get("lambda", 0.0))
-    problem = validate_problem(EstimatingProblem(u=u, penalty=penalty, lam=lam))
+    problem = EstimatingProblem(u=u, penalty=penalty, lam=lam)
     return problem, doc
 
 
@@ -379,7 +378,10 @@ def cmd_path(args) -> int:
     init = _initial_point(args, problem.u.dim)
     if args.lambdas:
         lams = _parse_float_list(args.lambdas)
-    elif args.auto_grid:
+    elif args.auto_grid is not None:
+        if args.auto_grid < 1:
+            raise ValidationError(
+                f"--auto-grid must be >= 1, got {args.auto_grid}")
         lmax = lambda_max(problem.u)
         if lmax <= 0.0:
             raise ValidationError("auto grid needs U(0) != 0")
@@ -516,7 +518,6 @@ def _bench_cell(cell: dict) -> dict:
         lam = float(cell["lambda"])
     else:
         lam = float(cell.get("lambda_rel", 0.25)) * lambda_max(u)
-    problem = EstimatingProblem(u=u, penalty=penalty, lam=lam)
     config = SolverConfig(tol=cell.get("tol", 1e-6),
                           max_iter=int(cell.get("max_iter", 5000)),
                           epsilon_lqa=cell.get("epsilon_lqa", 1e-8),
@@ -527,14 +528,15 @@ def _bench_cell(cell: dict) -> dict:
     best_wall = math.inf
     report = None
     error = None
-    for _ in range(int(cell.get("repeats", 1))):
-        start = time.perf_counter()
-        try:
+    try:
+        # an invalid lambda is a failed cell, as a failed solve is
+        problem = EstimatingProblem(u=u, penalty=penalty, lam=lam)
+        for _ in range(int(cell.get("repeats", 1))):
+            start = time.perf_counter()
             report = run_solver(problem, config, init.copy(), method)
-        except (ReesolveError, np.linalg.LinAlgError) as exc:
-            error = exc
-            break
-        best_wall = min(best_wall, time.perf_counter() - start)
+            best_wall = min(best_wall, time.perf_counter() - start)
+    except (ReesolveError, np.linalg.LinAlgError) as exc:
+        error = exc
 
     row = {"p": p, "n": n, "penalty": cell["penalty"], "solver": method,
            "seed": seed, "lambda": lam}

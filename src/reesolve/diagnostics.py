@@ -36,7 +36,6 @@ from .model import (
     UnsupportedPenaltyError,
     ValidationError,
     as_coefficients,
-    validate_problem,
 )
 from .penalties import penalty_value, project_ball, prox
 
@@ -69,7 +68,6 @@ def fixed_point_residual(problem: EstimatingProblem, beta, tau: float) -> float:
     """
     if not (tau > 0.0):
         raise ValidationError(f"tau must be positive, got {tau}")
-    validate_problem(problem)
     beta = as_coefficients(beta, problem.u.dim)
     step = prox(problem.penalty, beta - tau * evaluate(problem.u, beta),
                 tau * problem.lam)
@@ -103,7 +101,6 @@ def kkt_residual(problem: EstimatingProblem, beta) -> KktReport:
     split; ridge-type penalties should be certified through
     :func:`fixed_point_residual` instead.
     """
-    validate_problem(problem)
     beta = as_coefficients(beta, problem.u.dim)
     lam = problem.lam
     u = evaluate(problem.u, beta)
@@ -272,7 +269,6 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
         raise ValidationError("samples must be >= 1")
     if not (radius > 0.0):
         raise ValidationError("radius must be positive")
-    validate_problem(problem)
     beta_hat = as_coefficients(beta_hat, problem.u.dim)
     offsets = _probe_offsets(seed, samples, radius, beta_hat.size)
 

@@ -319,11 +319,16 @@ class EstimatingProblem:
     ``u`` is the estimating function (see :mod:`reesolve.estimating`),
     ``penalty`` the algebraic penalty description and ``lam`` >= 0 the
     regularization strength; lam == 0 means the plain root-finding problem.
+    Construction (and so ``dataclasses.replace``) runs
+    :func:`validate_problem`, so every instance is a valid problem.
     """
 
     u: "object"
     penalty: PenaltySpec
     lam: float = 0.0
+
+    def __post_init__(self):
+        validate_problem(self)
 
 
 def validate_problem(problem: EstimatingProblem) -> EstimatingProblem:
@@ -435,10 +440,7 @@ class SolverReport:
     ``trace`` has exactly ``iterations`` records (k = 1..iterations);
     ``initial_residual`` is the residual at the starting point (k = 0).
     ``iterates`` (when recorded) stacks the points row-wise, row k being the
-    iterate after k updates, so it has ``iterations + 1`` rows. ``anchors``
-    holds the auxiliary anchor sequence of the golden-ratio solvers, recorded
-    alongside the iterates (row 0 is the starting anchor, row k the anchor
-    iterate k was stepped from), so it also has ``iterations + 1`` rows.
+    iterate after k updates, so it has ``iterations + 1`` rows.
     """
 
     method: str
@@ -451,7 +453,6 @@ class SolverReport:
     stepsize: Optional[float] = None
     flags: tuple[str, ...] = ()
     iterates: Optional[np.ndarray] = None
-    anchors: Optional[np.ndarray] = None
 
     @property
     def converged(self) -> bool:

@@ -46,7 +46,6 @@ from .model import (
     UnsupportedPenaltyError,
     ValidationError,
     as_coefficients,
-    validate_problem,
 )
 from .penalties import _prox, lqa_weight_diag, project_ball, prox
 
@@ -73,40 +72,39 @@ def lambda_max(u: EstimatingFunction) -> float:
     return float(np.abs(evaluate(u, np.zeros(u.dim))).max())
 
 
-def _resolve_tau(problem: EstimatingProblem, config: SolverConfig) -> float:
-    if config.tau is not None:
-        return config.tau
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float vector: what ``np.linalg.norm``
+    computes for one, bit for bit, at a fraction of its call cost."""
+    return math.sqrt(v.dot(v))
+
+
+def _lipschitz(problem: EstimatingProblem) -> float:
+    """U's Lipschitz bound L, the one source of every derived stepsize."""
     L = lipschitz_upper_bound(problem.u)
     if L is None or not (0.0 < L < math.inf):
         raise ValidationError(
-            f"tau was not given and U has no positive finite Lipschitz bound "
-            f"(got {L}); set config.tau or declare U's Lipschitz constant")
-    return 1.0 / L
+            f"U has no positive finite Lipschitz bound (got {L}); set "
+            f"config.tau (picard, km), declare U's Lipschitz constant, or "
+            f"use gra-adaptive")
+    return L
 
 
 class _Run:
-    """Shared bookkeeping: trace, iterate and anchor recording, report."""
+    """Shared bookkeeping: trace, iterate recording, report."""
 
-    def __init__(self, method: str, config: SolverConfig, init: np.ndarray,
-                 anchor: Optional[np.ndarray] = None):
+    def __init__(self, method: str, config: SolverConfig, init: np.ndarray):
         self.method = method
         self.config = config
         self.trace: list[IterationRecord] = []
         self.iterates: Optional[list[np.ndarray]] = (
             [init.copy()] if config.record_iterates else None)
-        self.anchors: Optional[list[np.ndarray]] = (
-            [anchor.copy()] if config.record_iterates and anchor is not None
-            else None)
         self.flags: tuple[str, ...] = ()
 
     def record(self, k: int, residual: float, step: float,
-               beta: np.ndarray, theta: Optional[float] = None,
-               anchor: Optional[np.ndarray] = None) -> None:
+               beta: np.ndarray, theta: Optional[float] = None) -> None:
         self.trace.append(IterationRecord(k, residual, step, theta))
         if self.iterates is not None:
             self.iterates.append(beta.copy())
-        if self.anchors is not None:
-            self.anchors.append(anchor.copy())
 
     def report(self, status: SolverStatus, solution: np.ndarray,
                initial_residual: float,
@@ -122,21 +120,21 @@ class _Run:
             stepsize=stepsize,
             flags=self.flags,
             iterates=None if self.iterates is None else np.vstack(self.iterates),
-            anchors=None if self.anchors is None else np.vstack(self.anchors),
         )
 
 
 def _first_order_loop(method: str, problem: EstimatingProblem,
                       config: SolverConfig, beta: np.ndarray, make_steps,
-                      anchor: Optional[np.ndarray] = None,
                       final_prox_image: bool = False) -> SolverReport:
     """The iteration loop shared by picard, km and both golden-ratio solvers.
 
     ``make_steps(beta, u)`` builds the method's step generator from the
     starting point and ``u = U(beta)``, the only evaluation of U there. The
-    generator yields ``(beta, t, theta, anchor)`` for every point, the
-    starting point first, where ``t`` is the stepsize that produced the
-    point (at the start, the one its residual is measured with). It is then
+    generator yields ``(beta, t, theta)`` for every point, the starting
+    point first, where ``t`` is the stepsize that produced the point (at the
+    start, the one its residual is measured with) and ``theta`` is None or
+    the adaptive golden-ratio ratio. Any other state, such as the
+    golden-ratio anchor, stays inside the generator. It is then
     sent ``(u, fb)``: ``u = U(beta)`` and the prox image
     ``fb = prox_{t*lam*Omega}(beta - t*u)``, whose distance to ``beta`` is
     the fixed-point residual. Everything else lives here: the divergence
@@ -151,27 +149,27 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
     non-finite, which the divergence guard catches (a ball projection checks
     its own input and raises instead, which ends the run the same way).
     """
-    run = _Run(method, config, beta, anchor)
+    run = _Run(method, config, beta)
     status, t, r0 = SolverStatus.MAX_ITER_REACHED, None, math.inf
     u_fn, pen, lam = problem.u, problem.penalty, problem.lam
     try:
         u = evaluate(u_fn, beta)
         steps = make_steps(beta, u)
-        beta, t, theta, anchor = next(steps)
+        beta, t, theta = next(steps)
         fb = prox(pen, beta - t * u, t * lam)
-        r0 = float(np.linalg.norm(fb - beta))
+        r0 = _norm(fb - beta)
         if r0 <= config.tol:
             return run.report(SolverStatus.CONVERGED, beta, r0, t)
         for k in range(1, config.max_iter + 1):
-            beta, t, theta, anchor = steps.send((u, fb))
+            beta, t, theta = steps.send((u, fb))
             u = u_fn(beta)
             fb = _prox(pen, beta - t * u, t * lam)
-            r = float(np.linalg.norm(fb - beta))
+            r = _norm(fb - beta)
             # NaN fails the test, so a non-finite beta or U(beta) stops here
             if not r <= DIVERGENCE_RESIDUAL:
                 status = SolverStatus.DIVERGED
                 break
-            run.record(k, r, t, beta, theta, anchor)
+            run.record(k, r, t, beta, theta)
             if r <= config.tol:
                 status = SolverStatus.CONVERGED
                 break
@@ -184,7 +182,7 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
         try:
             f_next = prox(problem.penalty, fb - t * evaluate(problem.u, fb),
                           t * problem.lam)
-            r_next = float(np.linalg.norm(f_next - fb))
+            r_next = _norm(f_next - fb)
             if r_next <= config.tol:
                 run.record(k + 1, r_next, t, fb)
                 beta = fb
@@ -196,14 +194,13 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
 def _averaged_steps(beta: np.ndarray, tau: float, mix: float):
     """Steps ``beta <- (1-mix)*beta + mix*f(beta)`` with a fixed stepsize."""
     while True:
-        _, fb = yield beta, tau, None, None
+        _, fb = yield beta, tau, None
         beta = (1.0 - mix) * beta + mix * fb
 
 
 def _averaged_iteration(problem: EstimatingProblem, config: SolverConfig,
                         init, mix: float, method: str) -> SolverReport:
-    validate_problem(problem)
-    tau = _resolve_tau(problem, config)
+    tau = config.tau if config.tau is not None else 1.0 / _lipschitz(problem)
     beta = as_coefficients(init, problem.u.dim).copy()
     return _first_order_loop(method, problem, config, beta,
                              lambda b, u: _averaged_steps(b, tau, mix),
@@ -263,15 +260,14 @@ def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
     if adaptive:
         rho = 1.0 / psi + 1.0 / psi ** 2
         u_prev = evaluate(problem.u, beta_prev)
-        du = float(np.linalg.norm(u - u_prev))
-        t = (float(np.linalg.norm(beta - beta_prev)) / du
-             if du > 0.0 else t_bar)
+        du = _norm(u - u_prev)
+        t = _norm(beta - beta_prev) / du if du > 0.0 else t_bar
         theta = 1.0
     while True:
-        u, _ = yield beta, t, theta, bbar
+        u, _ = yield beta, t, theta
         if adaptive:
-            db2 = float(np.linalg.norm(beta - beta_prev) ** 2)
-            du2 = float(np.linalg.norm(u - u_prev) ** 2)
+            db2 = _norm(beta - beta_prev) ** 2
+            du2 = _norm(u - u_prev) ** 2
             if du2 > 0.0:
                 t_next = min(rho * t, psi * theta / (4.0 * t) * db2 / du2,
                              t_bar)
@@ -290,9 +286,9 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
 
     L is :func:`lipschitz_upper_bound` of U; the admissible stepsize range
     is ``(0, phi / (2 L)]`` with ``phi = (sqrt(5)+1)/2``. ``config.tau``
-    outside it, or a U without L, raises :class:`StepOutOfRangeError`; when
-    unset, the bound endpoint is used (the largest step the convergence
-    guarantee permits).
+    outside it raises :class:`StepOutOfRangeError`, a U without a positive
+    finite L raises :class:`ValidationError`; when unset, the bound endpoint
+    is used (the largest step the convergence guarantee permits).
 
     Parameters
     ----------
@@ -306,17 +302,11 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     ``bbar <- ((phi-1)*beta + bbar)/phi``, then steps
     ``beta <- prox_{t*lam*Omega}(bbar - t*U(beta))``. Convergence for
     monotone, L-Lipschitz U; the residual is the fixed-point residual with
-    the same stepsize t as the prox scale. Both the iterate and anchor
-    sequences are recorded.
+    the same stepsize t as the prox scale. The iterates are recorded; the
+    anchors are not, but follow from them and the starting anchor by the
+    recursion above.
     """
-    validate_problem(problem)
-    L = lipschitz_upper_bound(problem.u)
-    if L is None:
-        raise StepOutOfRangeError(
-            "gra-fixed needs a Lipschitz constant; U declares none and none "
-            "is derivable — declare one or use gra-adaptive")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValidationError(f"L must be positive and finite, got {L}")
+    L = _lipschitz(problem)
     bound = GOLDEN_RATIO / (2.0 * L)
     t = config.tau if config.tau is not None else bound
     if not (0.0 < t <= bound * (1.0 + 1e-12)):
@@ -326,8 +316,7 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     return _first_order_loop(
         "gra-fixed", problem, config, beta,
         lambda b, u: _golden_ratio_steps(problem, GOLDEN_RATIO, b, u, bbar,
-                                         t=t),
-        anchor=bbar)
+                                         t=t))
 
 
 def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
@@ -357,10 +346,9 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
     the fixed variant, and sets ``theta_k = psi * t_k / t_{k-1}``. The logged
     residual uses the current ``t_k`` as the prox scale.
     """
-    validate_problem(problem)
     beta_prev, beta, was_pair = _unpack_pair(init, problem.u.dim)
     if not was_pair:
-        offset = 1e-3 * (1.0 + float(np.linalg.norm(beta)))
+        offset = 1e-3 * (1.0 + _norm(beta))
         beta_prev = beta + offset / math.sqrt(beta.size) * np.ones(beta.size)
     if np.array_equal(beta_prev, beta):
         raise DegenerateInitError(
@@ -370,8 +358,7 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
         "gra-adaptive", problem, config, beta,
         lambda b, u: _golden_ratio_steps(problem, config.psi, b, u, bbar,
                                          beta_prev=beta_prev,
-                                         t_bar=config.t_bar),
-        anchor=bbar)
+                                         t_bar=config.t_bar))
 
 
 def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
@@ -387,7 +374,6 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
     ``config.zero_threshold`` in magnitude are truncated to exactly zero
     (the method never produces exact zeros by itself).
     """
-    validate_problem(problem)
     pen = problem.penalty
     if not isinstance(pen, (Lasso, Scad)):
         raise UnsupportedPenaltyError(
@@ -420,16 +406,16 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
         q = evaluate(u_fn, beta) + w * beta
     except NonFiniteOutputError:
         return run.report(SolverStatus.DIVERGED, beta, math.inf, None)
-    r0 = float(np.linalg.norm(q))
+    r0 = _norm(q)
     if r0 <= config.tol:
         return finish(SolverStatus.CONVERGED, beta, r0)
-    # validates availability (or the finite-difference opt-in) up front
-    J = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian)
 
     status = SolverStatus.MAX_ITER_REACHED
     diag_idx = slice(0, p * p, p + 1)
     for k in range(1, config.max_iter + 1):
-        M = J.copy()
+        # analytic when U has one, else finite differences on opt-in;
+        # copied, because U may hand out a cached matrix
+        M = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian).copy()
         M.flat[diag_idx] += w
         try:
             # the update is written with an explicit inverse; forming it is
@@ -439,14 +425,16 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
             run.flags = run.flags + ("singular-system",)
             status = SolverStatus.NUMERICAL_FAILURE
             break
-        beta = beta - M_inv @ q
+        # an overflowing step is caught just below as diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = beta - M_inv @ q
         if not np.all(np.isfinite(beta)):
             status = SolverStatus.DIVERGED
             break
         u_val = u_fn(beta)
         w = weights(beta)
         q = u_val + w * beta
-        r = float(np.linalg.norm(q))
+        r = _norm(q)
         if not r <= DIVERGENCE_RESIDUAL:
             status = SolverStatus.DIVERGED
             break
@@ -454,9 +442,6 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
         if r <= config.tol:
             status = SolverStatus.CONVERGED
             break
-        J_next = u_fn.jacobian_at(beta)
-        J = (J_next if J_next is not None
-             else jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian))
     return finish(status, beta, r0)
 
 
@@ -504,7 +489,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
     averaged km iterates feasible even when a run stops at ``max_iter``.
     Every solver has the signature ``solve(problem, config, init)``.
     ``config.tau`` steps picard, km and gra-fixed; unset, it is derived from
-    :func:`lipschitz_upper_bound` (``1/L``, or ``phi/(2L)`` for gra-fixed).
+    U's Lipschitz bound L (``1/L``, or ``phi/(2L)`` for gra-fixed).
     """
     name = method.lower()
     if name == "lqa":
@@ -535,11 +520,13 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     """Solve over a strictly decreasing lambda grid with :func:`run_solver`.
 
     Warm starting (default) initializes each solve at the previous lambda's
-    solution; cold starting reuses ``init`` for every lambda. A lambda whose
-    solve raises is recorded with a numerical-failure report and the sweep
-    continues.
+    solution; cold starting reuses ``init`` for every lambda. A lambda that
+    makes an invalid problem, or whose solve raises, is recorded with a
+    numerical-failure report and the sweep continues.
     """
     lams = [float(l) for l in lambdas]
+    if not lams:
+        raise ValidationError("lambda grid is empty")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ValidationError("lambda grid must be strictly decreasing")
     p = problem.u.dim
@@ -548,9 +535,9 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     current = start.copy()
     entries: list[PathEntry] = []
     for lam in lams:
-        sub = replace(problem, lam=lam)
         try:
-            report = run_solver(sub, config, current, method)
+            report = run_solver(replace(problem, lam=lam), config, current,
+                                method)
         except (ValueError, np.linalg.LinAlgError) as exc:
             report = SolverReport(
                 method=method, status=SolverStatus.NUMERICAL_FAILURE,

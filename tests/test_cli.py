@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -527,6 +528,20 @@ def test_path_cold_start(tmp_path, lasso_files):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["--lambdas", ","], "lambda grid is empty"),
+    (["--auto-grid", "0"], "--auto-grid must be >= 1"),
+], ids=["empty-lambdas", "auto-grid-0"])
+def test_path_empty_grid_exits_2(lasso_files, capsys, grid, message):
+    tmp, xp, yp, lam = lasso_files
+    out_dir = tmp / "empty"
+    code = main(["path", "--penalty", "lasso", "--design", xp,
+                 "--response", yp, "--out-dir", str(out_dir)] + grid)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_path_exits_1_when_lambdas_fail(tmp_path, capsys):
     # logistic U declares no Lipschitz bound, so gra-fixed fails on every
     # lambda; solve_path records the failures and the command reports them
@@ -622,7 +637,6 @@ def _overflowing_lqa(tmp_path):
             "--penalty", "lasso", "--method", "lqa"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_solve_non_finite_solution_gets_null_certificates(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["solve", "--lambda", "1e-300", "--out", str(out)]
@@ -635,7 +649,20 @@ def test_solve_non_finite_solution_gets_null_certificates(tmp_path, capsys):
     assert set(report["certificates"].values()) == {None}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_lqa_prints_no_warning(tmp_path, capsys):
+    # the overflow ends the run as diverged; numpy must not also print a
+    # RuntimeWarning with a source line on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--lambda", "1e-300",
+                     "--out", str(tmp_path / "r.json")]
+                    + _overflowing_lqa(tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "status: diverged" in captured.out
+    assert captured.err == ""
+
+
 def test_path_non_finite_solutions_write_every_report(tmp_path, capsys):
     out_dir = tmp_path / "path"
     code = main(["path", "--lambdas", "2e-300,1e-300",

@@ -1,11 +1,14 @@
 import copy
 import pickle
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from reesolve import (
     BallConstraint,
+    BallIndicator,
     DimensionMismatchError,
     ElasticNet,
     EstimatingProblem,
@@ -23,6 +26,7 @@ from reesolve import (
     SolverConfig,
     SparseGroupLasso,
     UncoveredIndexError,
+    UnsupportedPenaltyError,
     ValidationError,
     as_coefficients,
     validate_problem,
@@ -46,10 +50,9 @@ class TestGroupPartition:
     def test_partition_smaller_than_problem_is_uncovered(self):
         # a 2-coordinate partition attached to a 3-dimensional problem
         pen = GroupLasso(GroupPartition([[0, 1]]))
-        prob = EstimatingProblem(u=LinearEstimating(np.eye(3), np.zeros(3)),
-                                 penalty=pen, lam=0.1)
         with pytest.raises(UncoveredIndexError):
-            validate_problem(prob)
+            EstimatingProblem(u=LinearEstimating(np.eye(3), np.zeros(3)),
+                              penalty=pen, lam=0.1)
 
     def test_empty_group_rejected(self):
         with pytest.raises(UncoveredIndexError):
@@ -176,6 +179,27 @@ class TestSolverConfig:
             SolverConfig(epsilon_lqa=0.0)
 
 
+# one field change per invariant of validate_problem, on a valid
+# 3-dimensional lasso problem, with the error it must raise
+INVALID_CHANGES = {
+    "negative-lambda": ({"lam": -0.1}, ValidationError),
+    "nan-lambda": ({"lam": float("nan")}, ValidationError),
+    "inf-lambda": ({"lam": float("inf")}, ValidationError),
+    "penalty-not-spec": ({"penalty": "lasso"}, UnsupportedPenaltyError),
+    "u-without-dim": ({"u": object()}, ValidationError),
+    "zero-dim": ({"u": types.SimpleNamespace(dim=0)}, DimensionMismatchError),
+    "partition-too-large": (
+        {"penalty": GroupLasso(GroupPartition([[0, 1], [2], [3]]))},
+        DimensionMismatchError),
+    "partition-too-small": (
+        {"penalty": GroupLasso(GroupPartition([[0, 1]]))}, UncoveredIndexError),
+    "box-mismatch": (
+        {"penalty": BallIndicator(BallConstraint(
+            "box", lower=-np.ones(2), upper=np.ones(2)))},
+        DimensionMismatchError),
+}
+
+
 class TestValidateProblem:
     def _problem(self, penalty, p=3, lam=0.1):
         A = np.eye(p)
@@ -200,8 +224,18 @@ class TestValidateProblem:
         with pytest.raises(ValidationError):
             validate_problem(self._problem(Lasso(), lam=-0.1))
 
+    @pytest.mark.parametrize("name", INVALID_CHANGES)
+    def test_invariant_checked_at_construction_and_replace(self, name):
+        changes, error = INVALID_CHANGES[name]
+        fields = {"u": LinearEstimating(np.eye(3), np.zeros(3)),
+                  "penalty": Lasso(), "lam": 0.1}
+        with pytest.raises(error):
+            EstimatingProblem(**{**fields, **changes})
+        valid = EstimatingProblem(**fields)
+        with pytest.raises(error):
+            replace(valid, **changes)
+
     def test_box_dimension_mismatch(self):
-        from reesolve import BallIndicator
         ball = BallConstraint("box", lower=-np.ones(2), upper=np.ones(2))
         with pytest.raises(DimensionMismatchError):
             validate_problem(self._problem(BallIndicator(ball), p=3))

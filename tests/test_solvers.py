@@ -29,6 +29,7 @@ from reesolve import (
     SparseGroupLasso,
     StepOutOfRangeError,
     UnsupportedPenaltyError,
+    ValidationError,
     kkt_residual,
     lambda_max,
     oracle_lasso_cd,
@@ -161,6 +162,15 @@ class TestGraFixed:
         with pytest.raises(StepOutOfRangeError):
             solve_gra_fixed(prob, bad, np.zeros(10))
 
+    @pytest.mark.parametrize("tau", [None, 0.1])
+    def test_u_without_lipschitz_bound_rejected(self, tau):
+        # the range check needs L even when tau is given; the error names
+        # the ways out
+        u = CustomEstimating(2, lambda b: b)
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
+        with pytest.raises(ValidationError, match="gra-adaptive"):
+            solve_gra_fixed(prob, SolverConfig(tau=tau), np.zeros(2))
+
     def test_monotone_nonsymmetric_instance(self):
         A = np.array([[2.0, 1.0], [-1.0, 2.0]])
         u = LinearEstimating(A, np.array([1.0, 1.0]))
@@ -183,13 +193,6 @@ class TestGraFixed:
         sol = solve_gra_fixed(prob, cfg, np.zeros(2)).solution
         rep = solve_gra_fixed(prob, SolverConfig(tol=1e-9), (sol, sol.copy()))
         assert rep.converged and rep.iterations == 0
-
-    def test_anchor_sequence_recorded(self):
-        X, y, u, lam, prob = lasso_ls_instance(seed=3)
-        cfg = SolverConfig(tol=1e-9, max_iter=100000)
-        rep = solve_gra_fixed(prob, cfg, np.zeros(10))
-        assert rep.anchors is not None
-        assert rep.anchors.shape[0] >= rep.iterations
 
 
 class TestGraAdaptive:
@@ -239,7 +242,6 @@ class TestGraAdaptive:
         ref = solve_gra_adaptive(prob, cfg, np.zeros(10))
         assert rep.trace == ref.trace
         assert np.array_equal(rep.iterates, ref.iterates)
-        assert np.array_equal(rep.anchors, ref.anchors)
 
     def test_theta_recorded(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=5)
@@ -319,7 +321,6 @@ class TestAnchoredRecursionsExact:
             bbar = ((phi - 1.0) * beta + bbar) / phi
             beta = prox(prob.penalty, bbar - t * u(beta), t * lam)
             assert np.array_equal(rep.iterates[k + 1], beta)
-            assert np.array_equal(rep.anchors[k + 1], bbar)
         assert all(rec.step == t for rec in rep.trace)
 
     def test_gra_adaptive_matches_manual_simulation(self):
@@ -456,21 +457,16 @@ class TestSharedLoop:
         assert (rep.initial_residual, rep.stepsize) == (
             direct.initial_residual, direct.stepsize)
         for got, want in ((rep.solution, direct.solution),
-                          (rep.iterates, direct.iterates),
-                          (rep.anchors, direct.anchors)):
+                          (rep.iterates, direct.iterates)):
             # a diverged LQA run can end at NaN; the same NaN in both matches
             assert (got is None and want is None) or np.array_equal(
                 got, want, equal_nan=True)
         assert isinstance(rep.status, SolverStatus)
         assert len(rep.trace) == rep.iterations
         if not record:
-            assert rep.iterates is None and rep.anchors is None
-        elif method.startswith("gra"):
-            assert rep.iterates.shape[0] == rep.iterations + 1
-            assert rep.anchors.shape[0] == rep.iterations + 1
+            assert rep.iterates is None
         else:
             assert rep.iterates.shape[0] == rep.iterations + 1
-            assert rep.anchors is None
 
 
 class TestLqaNewton:
@@ -675,9 +671,26 @@ class TestPath:
 
     def test_grid_must_decrease(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=21)
-        from reesolve import ValidationError
         with pytest.raises(ValidationError):
             solve_path(prob, [0.1, 0.2], cfg_fast())
+
+    def test_empty_grid_rejected(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=21)
+        with pytest.raises(ValidationError, match="empty"):
+            solve_path(prob, [], cfg_fast())
+
+    def test_invalid_lambda_recorded_not_raised(self):
+        # the problem at lambda -0.1 fails its own validation; the sweep
+        # records it and keeps the first lambda's solve
+        X, y, u, lam, prob = lasso_ls_instance(seed=21)
+        entries = solve_path(prob, [0.5, -0.1], cfg_fast())
+        assert [e.lam for e in entries] == [0.5, -0.1]
+        assert entries[0].report.converged
+        failed = entries[1].report
+        assert failed.status is SolverStatus.NUMERICAL_FAILURE
+        assert failed.flags == ("error:ValidationError",)
+        np.testing.assert_array_equal(failed.solution,
+                                      entries[0].report.solution)
 
     def test_failures_recorded_not_raised(self):
         u = CustomEstimating(2, lambda b: b)  # no Lipschitz, no tau given
