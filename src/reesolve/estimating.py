@@ -44,6 +44,15 @@ class EstimatingFunction:
     ``lipschitz=`` argument. Instances are immutable after construction and
     safe to share across solver runs.
 
+    The built-in linear, least-squares and logistic U also offer
+    ``restrict(S)``: U on the coordinates ``S`` (an integer index array)
+    with every other coordinate held at zero, as a new estimating function
+    of dimension ``len(S)``. A declared ``lipschitz`` passes through, since
+    it bounds the restricted U too; an undeclared one is computed from the
+    restricted matrix. :func:`reesolve.solvers.solve_path` screens warm
+    paths through it; a U without ``restrict`` (such as
+    :class:`CustomEstimating`) is solved unscreened.
+
     :func:`evaluate` checks an output's shape and finiteness. The
     first-order solvers check U's output at the starting point that way and
     call U directly on every later iterate, where a non-finite output ends
@@ -103,13 +112,18 @@ class LinearEstimating(EstimatingFunction):
         self.A = A
         self.b = b
         self.dim = A.shape[0]
-        self._lip = lipschitz
+        self._declared = self._lip = lipschitz
 
     def __call__(self, beta):
         return self.A @ beta - self.b
 
     def jacobian_at(self, beta):
         return self.A
+
+    def restrict(self, S) -> "LinearEstimating":
+        """``A[S][:, S] beta_S - b[S]``: U on ``S``, the rest held at zero."""
+        return LinearEstimating(self.A[np.ix_(S, S)], self.b[S],
+                                lipschitz=self._declared)
 
     @property
     def lipschitz(self) -> float:
@@ -137,7 +151,7 @@ class LeastSquaresEstimating(EstimatingFunction):
         self.y = y
         self.dim = X.shape[1]
         self._gram: Optional[np.ndarray] = None
-        self._lip = lipschitz
+        self._declared = self._lip = lipschitz
 
     @property
     def gram(self) -> np.ndarray:
@@ -151,6 +165,11 @@ class LeastSquaresEstimating(EstimatingFunction):
 
     def jacobian_at(self, beta):
         return self.gram
+
+    def restrict(self, S) -> "LeastSquaresEstimating":
+        """Least squares on the columns ``X[:, S]``."""
+        return LeastSquaresEstimating(self.X[:, S], self.y,
+                                      lipschitz=self._declared)
 
     @property
     def lipschitz(self) -> float:
@@ -190,6 +209,11 @@ class LogisticEstimating(EstimatingFunction):
         mu = expit(self.X @ beta)
         w = mu * (1.0 - mu)
         return self.X.T @ (w[:, None] * self.X)
+
+    def restrict(self, S) -> "LogisticEstimating":
+        """The logistic score on the columns ``X[:, S]``."""
+        return LogisticEstimating(self.X[:, S], self.y,
+                                  lipschitz=self.lipschitz)
 
 
 def evaluate(f: EstimatingFunction, beta) -> np.ndarray:

@@ -542,6 +542,55 @@ def test_path_empty_grid_exits_2(lasso_files, capsys, grid, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("lambdas, bad", [
+    ("0.5,-0.1", "-0.1"), ("nan", "nan"), ("inf,0.5", "inf"),
+], ids=["negative-after-valid", "nan", "inf"])
+def test_path_invalid_lambda_exits_2_before_solving(lasso_files, capsys,
+                                                    lambdas, bad):
+    tmp, xp, yp, lam = lasso_files
+    out_dir = tmp / "invalid"
+    code = main(["path", "--penalty", "lasso", "--design", xp,
+                 "--response", yp, "--lambdas", lambdas,
+                 "--out-dir", str(out_dir)])
+    assert code == 2
+    assert f"lambda must be finite and >= 0, got {bad}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_path_screened_reports_certify_the_full_problem(tmp_path):
+    # p > n, so the warm lasso path screens every lambda after the first;
+    # each report's certificates and KKT column cover all p coordinates
+    from reesolve import (EstimatingProblem, Lasso, LeastSquaresEstimating,
+                          fixed_point_residual, kkt_residual)
+    rng = np.random.default_rng(103)
+    X = rng.standard_normal((20, 50))
+    y = X[:, :3] @ np.array([2.0, -1.5, 1.0]) + 0.1 * rng.standard_normal(20)
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    out_dir = tmp_path / "path"
+    assert main(["path", "--penalty", "lasso", "--auto-grid", "12",
+                 "--design", str(tmp_path / "X.csv"),
+                 "--response", str(tmp_path / "y.csv"), "--tol", "1e-8",
+                 "--out-dir", str(out_dir)]) == 0
+    rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
+    u = LeastSquaresEstimating(X, y)
+    for i, row in enumerate(rows):
+        report = json.loads((out_dir / f"report_{i:03d}.json").read_text())
+        flags = report["flags"]
+        kept = [f for f in flags if f.startswith("screened:")]
+        assert kept == ([] if i == 0 else [kept[0]])
+        if i:
+            assert kept[0].endswith("/50") and int(kept[0][9:-3]) < 50
+        assert len(report["solution"]) == 50
+        assert len(report["trace"]["k"]) == report["iterations"]
+        fp = report["certificates"]["fixed_point"]
+        assert fp["tau"] == report["stepsize"] and fp["residual"] <= 1e-8
+        problem = EstimatingProblem(u=u, penalty=Lasso(), lam=float(row.split(",")[0]))
+        beta = np.array(report["solution"])
+        assert fp["residual"] == fixed_point_residual(problem, beta, fp["tau"])
+        assert float(row.split(",")[3]) == kkt_residual(problem, beta).max_residual
+
+
 def test_path_exits_1_when_lambdas_fail(tmp_path, capsys):
     # logistic U declares no Lipschitz bound, so gra-fixed fails on every
     # lambda; solve_path records the failures and the command reports them

@@ -160,6 +160,66 @@ class TestLipschitz:
             assert ratio <= L * (1 + 1e-12)
 
 
+class TestRestrict:
+    """``restrict(S)`` is U on S with every other coordinate held at zero."""
+
+    @staticmethod
+    def _instances(rng):
+        X = rng.standard_normal((15, 6))
+        A = rng.standard_normal((6, 6))
+        y01 = (rng.uniform(size=15) < 0.5).astype(float)
+        return [LinearEstimating(A, rng.standard_normal(6)),
+                LeastSquaresEstimating(X, rng.standard_normal(15)),
+                LogisticEstimating(X, y01, lipschitz=3.0)]
+
+    @pytest.mark.parametrize("kind", [0, 1, 2], ids=["linear", "ls", "logistic"])
+    def test_restricted_u_is_u_on_zero_padded_points(self, kind):
+        rng = np.random.default_rng(50)
+        u = self._instances(rng)[kind]
+        S = np.array([4, 0, 3])
+        sub = u.restrict(S)
+        assert sub.dim == 3
+        for _ in range(3):
+            beta_s = rng.standard_normal(3)
+            padded = np.zeros(6)
+            padded[S] = beta_s
+            np.testing.assert_allclose(evaluate(sub, beta_s),
+                                       evaluate(u, padded)[S],
+                                       rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(jacobian(sub, beta_s),
+                                       jacobian(u, padded)[np.ix_(S, S)],
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_declared_lipschitz_passes_through(self):
+        rng = np.random.default_rng(51)
+        X = rng.standard_normal((15, 6))
+        for u in (LinearEstimating(X[:6], np.zeros(6), lipschitz=40.0),
+                  LeastSquaresEstimating(X, np.zeros(15), lipschitz=40.0),
+                  LogisticEstimating(X, np.zeros(15), lipschitz=40.0)):
+            assert lipschitz_upper_bound(u.restrict(np.array([1, 2]))) == 40.0
+        assert LogisticEstimating(X, np.zeros(15)).restrict(
+            np.array([1])).lipschitz is None
+
+    def test_undeclared_lipschitz_comes_from_the_restricted_matrix(self):
+        rng = np.random.default_rng(52)
+        X = rng.standard_normal((15, 6))
+        A = rng.standard_normal((6, 6))
+        S = np.array([1, 5])
+        ls, lin = LeastSquaresEstimating(X, np.zeros(15)), LinearEstimating(A, np.zeros(6))
+        # computing the full bound first must not leak into the restriction
+        assert lipschitz_upper_bound(ls) > 0 and lipschitz_upper_bound(lin) > 0
+        np.testing.assert_allclose(
+            lipschitz_upper_bound(ls.restrict(S)),
+            np.linalg.norm(X[:, S], 2) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(
+            lipschitz_upper_bound(lin.restrict(S)),
+            np.linalg.norm(A[np.ix_(S, S)], 2), rtol=1e-12)
+        assert lipschitz_upper_bound(ls.restrict(S)) <= lipschitz_upper_bound(ls)
+
+    def test_custom_u_has_no_restriction(self):
+        assert not hasattr(CustomEstimating(2, lambda b: b), "restrict")
+
+
 class TestMonotonicityProbe:
     def test_positive_definite_symmetric_part_passes(self):
         # <A d, d> = 2||d||^2 for this A, so monotone despite asymmetry

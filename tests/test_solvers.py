@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from reesolve import (
     Lasso,
     LeastSquaresEstimating,
     LinearEstimating,
+    LogisticEstimating,
     Ridge,
     Scad,
     SolverConfig,
@@ -30,6 +32,7 @@ from reesolve import (
     StepOutOfRangeError,
     UnsupportedPenaltyError,
     ValidationError,
+    fixed_point_residual,
     kkt_residual,
     lambda_max,
     oracle_lasso_cd,
@@ -699,3 +702,198 @@ class TestPath:
         assert len(entries) == 2
         assert all(e.report.status is SolverStatus.NUMERICAL_FAILURE
                    for e in entries)
+
+
+def _warm_loop(problem, lambdas, config, method):
+    """A warm path as one unscreened run_solver call per lambda."""
+    current, reports = np.zeros(problem.u.dim), []
+    for lam in lambdas:
+        report = run_solver(replace(problem, lam=lam), config, current, method)
+        reports.append(report)
+        current = report.solution.copy()
+    return reports
+
+
+def _screened_instance(u_kind, pen_kind, seed):
+    """A strongly monotone U on 12 coordinates (4 groups of 3), with its
+    Lipschitz bound L and a function giving a strong-monotonicity modulus
+    on the segment between two points."""
+    rng = np.random.default_rng(seed)
+    n, p = 40, 12
+    X = rng.standard_normal((n, p)) / np.sqrt(n)
+    truth = np.zeros(p)
+    truth[:3] = rng.uniform(1.0, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
+    truth[7] = rng.uniform(-1.0, 1.0)
+    if u_kind == "least-squares":
+        u = LeastSquaresEstimating(X, X @ truth + 0.1 * rng.standard_normal(n))
+        mu = np.linalg.eigvalsh(X.T @ X).min()
+        modulus = lambda a, b: mu  # noqa: E731
+    elif u_kind == "logistic":
+        X = 2.0 * X
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-X @ truth))).astype(float)
+        u = LogisticEstimating(X, y, lipschitz=np.linalg.norm(X, 2) ** 2 / 4.0)
+
+        def modulus(a, b):
+            # the score's Jacobian X^T W X has weights s'(x_i beta) >= s'(t_i)
+            # on the segment, t_i the larger end of |x_i beta| plus a margin
+            t = np.maximum(np.abs(X @ a), np.abs(X @ b)) + 1e-6
+            w = np.exp(-t) / (1.0 + np.exp(-t)) ** 2
+            return np.linalg.eigvalsh(X.T @ (w[:, None] * X)).min()
+    else:
+        # identity, a skew part and one coupling U_9 += c*beta_0 with
+        # 1 < |c| < 2: monotone, not any objective's gradient, and U_9 grows
+        # faster than lambda falls, which the strong rule does not expect,
+        # so some paths re-admit coordinate 9
+        K = rng.standard_normal((p, p))
+        A = np.eye(p) + 0.3 * (K - K.T) / np.linalg.norm(K - K.T, 2)
+        A[9, 0] += rng.uniform(1.3, 1.9) * rng.choice([-1.0, 1.0])
+        b = A @ truth + 0.1 * rng.standard_normal(p)
+        b[9] = 0.1 * rng.standard_normal()
+        u = LinearEstimating(A, b)
+        mu = np.linalg.eigvalsh(0.5 * (A + A.T)).min()
+        modulus = lambda a, b: mu  # noqa: E731
+    part = GroupPartition([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
+                          [1.0, 1.5, 0.8, 1.2])
+    penalty = {"lasso": Lasso(), "elastic-net": ElasticNet(0.3),
+               "group-lasso": GroupLasso(part),
+               "sparse-group-lasso": SparseGroupLasso(part, 0.4)}[pen_kind]
+    return EstimatingProblem(u=u, penalty=penalty), u.lipschitz, modulus
+
+
+def _inactive_kkt(problem, beta):
+    """Largest inactive-test violation over the units that are zero in
+    ``beta``: coordinates for lasso and elastic net (whose inactive tests
+    agree), groups for the group penalties."""
+    if isinstance(problem.penalty, (Lasso, ElasticNet)):
+        rep = kkt_residual(replace(problem, penalty=Lasso()), beta)
+        return float(rep.coordinate[beta == 0.0].max(initial=0.0))
+    part = problem.penalty.partition
+    zero = np.array([not np.any(beta[list(g)]) for g in part.groups])
+    return float(kkt_residual(problem, beta).group[zero].max(initial=0.0))
+
+
+class TestScreenedPath:
+    @settings(max_examples=60, deadline=None)
+    @given(u_kind=st.sampled_from(["least-squares", "logistic", "linear"]),
+           pen_kind=st.sampled_from(["lasso", "elastic-net", "group-lasso",
+                                     "sparse-group-lasso"]),
+           method=st.sampled_from(["picard", "km", "gra-adaptive"]),
+           seed=st.integers(0, 2**31), points=st.sampled_from([4, 7, 12]),
+           floor=st.sampled_from([0.02, 0.1]))
+    def test_screened_path_solves_the_full_problem(
+            self, u_kind, pen_kind, method, seed, points, floor):
+        problem, L, modulus = _screened_instance(u_kind, pen_kind, seed)
+        lmax = lambda_max(problem.u)
+        grid = list(lmax * np.geomspace(1.0, floor, points))
+        tol = 1e-8
+        config = SolverConfig(tol=tol, max_iter=50_000, record_iterates=False)
+        screened = solve_path(problem, grid, config, method=method)
+        reference = _warm_loop(problem, grid, config, method)
+        for entry, ref in zip(screened, reference):
+            rep, full = entry.report, replace(problem, lam=entry.lam)
+            assert rep.status is ref.status is SolverStatus.CONVERGED
+            assert rep.iterations == len(rep.trace)
+            assert [r.k for r in rep.trace] == list(range(1, rep.iterations + 1))
+            assert rep.solution.shape == (problem.u.dim,)
+            tau = rep.stepsize
+            assert fixed_point_residual(full, rep.solution, tau) <= tol
+            assert _inactive_kkt(full, rep.solution) <= tol / tau
+            # both points are within tol of a prox image whose distance to
+            # the solution the strong monotonicity bounds
+            mu = modulus(rep.solution, ref.solution)
+            bound = 2 * tol + tol * (1 / tau + 1 / ref.stepsize + 2 * L) / mu
+            assert np.linalg.norm(rep.solution - ref.solution) <= bound
+        assert not screened[0].report.flags
+        assert all(e.report.flags[-1].startswith("screened:")
+                   for e in screened[1:])
+
+    @staticmethod
+    def _coupled_instance():
+        # U_1 = -1.8 beta_0 - 0.79: coordinate 1 looks inactive at the first
+        # lambda (|U_1(0)| = 0.79 < 2*0.9 - 1), yet once coordinate 0 moves
+        # it violates its test (|U_1| = 0.97 > 0.9). A is monotone, and is
+        # not any objective's gradient.
+        A = np.array([[1.0, 0.0], [-1.8, 1.0]])
+        u = LinearEstimating(A, np.array([1.0, 0.79]))
+        return EstimatingProblem(u=u, penalty=Lasso()), [1.0, 0.9]
+
+    @pytest.mark.parametrize("method", ["picard", "km", "gra-adaptive"])
+    def test_readmission_fires_and_resolves(self, method):
+        problem, grid = self._coupled_instance()
+        config = SolverConfig(tol=1e-10, max_iter=100_000)
+        first, second = solve_path(problem, grid, config, method=method)
+        assert first.report.iterations == 0
+        report = second.report
+        assert report.converged
+        assert report.flags == ("screened:2/2",)
+        # the rounds by hand: coordinate 0 alone, then both, warm
+        sub = replace(problem, lam=grid[1])
+        alone = run_solver(
+            EstimatingProblem(problem.u.restrict(np.array([0])), Lasso(), grid[1]),
+            config, np.zeros(1), method)
+        assert abs(problem.u(np.r_[alone.solution, 0.0])[1]) > grid[1]
+        both = run_solver(sub, config, np.r_[alone.solution, 0.0], method)
+        assert report.iterations == alone.iterations + both.iterations
+        assert both.iterations > 0
+        np.testing.assert_array_equal(report.solution, both.solution)
+        assert report.stepsize == both.stepsize
+        assert fixed_point_residual(sub, report.solution, report.stepsize) <= 1e-10
+
+    def test_readmission_shares_the_iteration_budget(self):
+        problem, grid = self._coupled_instance()
+        report = solve_path(problem, grid, SolverConfig(tol=1e-10, max_iter=8),
+                            method="picard")[1].report
+        assert report.iterations <= 8
+        assert report.status is SolverStatus.MAX_ITER_REACHED
+
+    def test_iterates_are_scattered_to_p_columns(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=22, n=60, p=30, k=3)
+        grid = list(np.geomspace(lambda_max(u), lambda_max(u) / 20, 5))
+        entries = solve_path(prob, grid, SolverConfig(tol=1e-9), method="picard")
+        problem, grid2 = self._coupled_instance()
+        entries = entries[1:] + solve_path(
+            problem, grid2, SolverConfig(tol=1e-10), method="picard")[1:]
+        for entry in entries:
+            rep = entry.report
+            assert rep.flags[-1].startswith("screened:")
+            p = rep.solution.size
+            assert rep.iterates.shape == (rep.iterations + 1, p)
+            np.testing.assert_array_equal(rep.iterates[-1], rep.solution)
+        # the re-admitted run: rows of the first round hold zero in the
+        # column it discarded, later rows fill it
+        rows = entries[-1].report.iterates
+        assert np.any(rows[:, 1] == 0.0) and rows[-1, 1] != 0.0
+        # a screened lasso run never touches coordinates it did not keep
+        kept = int(entries[0].report.flags[-1].split(":")[1].split("/")[0])
+        assert np.count_nonzero(np.any(entries[0].report.iterates, axis=0)) <= kept
+
+    @pytest.mark.parametrize("case", ["custom-u", "ridge", "cold",
+                                      "sgl-alpha-1", "ball"])
+    def test_unscreened_paths_are_bit_identical(self, case):
+        X, y, u, lam, prob = lasso_ls_instance(seed=23, n=50, p=8)
+        warm = True
+        if case == "custom-u":
+            prob = replace(prob, u=CustomEstimating(
+                8, lambda b: X.T @ (X @ b - y), lipschitz=u.lipschitz))
+        elif case == "ridge":
+            prob = replace(prob, penalty=Ridge())
+        elif case == "cold":
+            warm = False
+        elif case == "sgl-alpha-1":
+            prob = replace(prob, penalty=SparseGroupLasso(
+                GroupPartition([[0, 1, 2, 3], [4, 5, 6, 7]]), 1.0))
+        else:
+            prob = replace(prob, penalty=BallIndicator(BallConstraint("l1", 1.0)))
+        grid = list(np.geomspace(lambda_max(u), lambda_max(u) / 50, 6))
+        config = SolverConfig(tol=1e-9)
+        entries = solve_path(prob, grid, config, method="km", warm_start=warm)
+        current = np.zeros(8)
+        for entry, lam in zip(entries, grid):
+            ref = run_solver(replace(prob, lam=lam), config, current, "km")
+            if warm:
+                current = ref.solution
+            rep = entry.report
+            np.testing.assert_array_equal(rep.solution, ref.solution)
+            np.testing.assert_array_equal(rep.iterates, ref.iterates)
+            assert rep.trace == ref.trace and rep.flags == ref.flags == ()
+            assert rep.stepsize == ref.stepsize
