@@ -388,10 +388,10 @@ def cmd_path(args) -> int:
         lams = list(np.geomspace(lmax, lmax / 100.0, args.auto_grid))
     else:
         raise ValidationError("give --lambdas or --auto-grid")
-    # an invalid lambda would end the command after the solves before it
-    bad = [lam for lam in lams if not (math.isfinite(lam) and lam >= 0.0)]
-    if bad:
-        raise ValidationError(f"lambda must be finite and >= 0, got {bad[0]}")
+    # check every lambda before the first solve: an invalid one would end
+    # the command after the solves before it
+    for lam in lams:
+        replace(problem, lam=lam)
     entries = solve_path(problem, lams, config, method=args.method,
                          init=init, warm_start=not args.cold)
 

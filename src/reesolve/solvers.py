@@ -36,8 +36,6 @@ from .model import (
     DegenerateInitError,
     ElasticNet,
     EstimatingProblem,
-    GroupLasso,
-    GroupPartition,
     IterationRecord,
     Lasso,
     NonFiniteOutputError,
@@ -45,20 +43,12 @@ from .model import (
     SolverConfig,
     SolverReport,
     SolverStatus,
-    SparseGroupLasso,
     StepOutOfRangeError,
     UnsupportedPenaltyError,
     ValidationError,
     as_coefficients,
 )
-from .penalties import (
-    _group_norms,
-    _prox,
-    lqa_weight_diag,
-    project_ball,
-    prox,
-    soft_threshold,
-)
+from .penalties import _prox, lqa_weight_diag, project_ball, prox
 
 __all__ = [
     "solve_picard",
@@ -525,57 +515,12 @@ class PathEntry:
         return int(np.count_nonzero(self.report.solution))
 
 
-# Screening units: coordinates for lasso and elastic net, groups for the
-# group penalties. Each unit has a statistic s(u) that is at most lam
-# exactly when the unit may stay zero at lam (its inactive KKT test).
-
 def _screenable(problem: EstimatingProblem) -> bool:
     """Whether warm paths on ``problem`` are screened: U offers
-    ``restrict`` and the penalty is one whose units have an exact inactive
-    test. A sparse group lasso at alpha = 1 is the lasso, and its group
-    statistic has no denominator, so it runs unscreened."""
-    pen = problem.penalty
-    if callable(getattr(problem.u, "restrict", None)):
-        if isinstance(pen, SparseGroupLasso):
-            return pen.alpha < 1.0
-        return isinstance(pen, (Lasso, ElasticNet, GroupLasso))
-    return False
-
-
-def _unit_stats(pen, u: np.ndarray, lam: float) -> np.ndarray:
-    """Per-unit statistic: ``|u_j|`` (lasso, elastic net), ``||u_g||/w_g``
-    (group lasso), ``||soft(u_g, alpha*lam)||/((1-alpha) w_g)`` (sparse
-    group lasso)."""
-    if isinstance(pen, (Lasso, ElasticNet)):
-        return np.abs(u)
-    part = pen.partition
-    uo = u[part.order]
-    if isinstance(pen, SparseGroupLasso):
-        return (_group_norms(part, soft_threshold(uo, pen.alpha * lam))
-                / ((1.0 - pen.alpha) * part.weight_array))
-    return _group_norms(part, uo) / part.weight_array
-
-
-def _unit_nonzero(pen, beta: np.ndarray) -> np.ndarray:
-    if isinstance(pen, (Lasso, ElasticNet)):
-        return beta != 0.0
-    part = pen.partition
-    return np.logical_or.reduceat(beta[part.order] != 0.0, part.starts)
-
-
-def _restrict_penalty(pen, keep: np.ndarray):
-    """The kept units' coordinates ``S`` and the penalty on them: the same
-    penalty for coordinate units; for group units the kept groups,
-    reindexed to consecutive positions of ``S``, with their weights."""
-    if isinstance(pen, (Lasso, ElasticNet)):
-        return np.flatnonzero(keep), pen
-    part = pen.partition
-    S = part.order[np.repeat(keep, part.sizes)]
-    sizes = part.sizes[keep]
-    groups = [range(end - size, end)
-              for size, end in zip(sizes, np.cumsum(sizes))]
-    weights = None if part.weights is None else part.weight_array[keep]
-    return S, replace(pen, partition=GroupPartition(groups, weights))
+    ``restrict`` and the penalty is the lasso or the elastic net, whose
+    zero coordinate j passes its exact inactive test when ``|U_j| <= lam``."""
+    return (callable(getattr(problem.u, "restrict", None))
+            and isinstance(problem.penalty, (Lasso, ElasticNet)))
 
 
 def _finite_or_none(v: np.ndarray) -> Optional[np.ndarray]:
@@ -585,33 +530,35 @@ def _finite_or_none(v: np.ndarray) -> Optional[np.ndarray]:
 def _screened_solve(problem: EstimatingProblem, config: SolverConfig,
                     method: str, beta: np.ndarray, u_beta: np.ndarray,
                     lam_prev: float):
-    """One warm lambda of a path, solved on a screened set of units.
+    """One warm lambda of a path, solved on a screened set of coordinates.
 
     ``beta`` is the previous lambda's solution and ``u_beta = U(beta)``.
-    The sequential strong rule keeps a unit when its statistic at
-    ``u_beta`` is at least ``2*lam - lam_prev`` or it is nonzero in
-    ``beta`` (and always the unit with the largest statistic, so the set is
-    never empty). The restricted problem is solved warm with
-    :func:`run_solver`; then U is evaluated once on all p coordinates, and
-    every discarded unit whose statistic exceeds lam is re-admitted and the
-    restricted problem solved again, until none is. A discarded unit that
-    passes its test is a fixed point of the full problem's prox map at any
-    stepsize, so the full problem's fixed-point residual at the last
-    restricted stepsize equals the restricted one.
+    The sequential strong rule keeps coordinate j when ``|u_beta_j|`` is at
+    least ``2*lam - lam_prev`` or ``beta_j`` is nonzero (and always the
+    coordinate with the largest ``|u_beta_j|``, so the set is never empty).
+    The restricted problem is solved warm with :func:`run_solver`; then U is
+    evaluated once on all p coordinates, and every discarded coordinate with
+    ``|U_j| > lam`` is re-admitted and the restricted problem solved again,
+    until none is. A discarded coordinate that passes its test is a fixed
+    point of the full problem's prox map at any stepsize, so the full
+    problem's fixed-point residual at the last restricted stepsize equals
+    the restricted one.
 
     The rounds together spend at most ``config.max_iter`` iterations.
     Returns the merged report and ``U`` at its solution (None unless the
     run converged with a finite U there).
     """
-    pen, lam, p = problem.penalty, problem.lam, problem.u.dim
-    stats = _unit_stats(pen, u_beta, lam)
-    keep = (stats >= 2.0 * lam - lam_prev) | _unit_nonzero(pen, beta)
+    lam, p = problem.lam, problem.u.dim
+    stats = np.abs(u_beta)
+    keep = (stats >= 2.0 * lam - lam_prev) | (beta != 0.0)
     keep[np.argmax(stats)] = True
     rounds: list[tuple[np.ndarray, SolverReport]] = []
     spent, u_sol = 0, None
     while True:
-        S, pen_S = _restrict_penalty(pen, keep)
-        sub = EstimatingProblem(problem.u.restrict(S), pen_S, lam)
+        S = np.flatnonzero(keep)
+        # a set that keeps every coordinate is the full problem
+        u_S = problem.u if S.size == p else problem.u.restrict(S)
+        sub = EstimatingProblem(u_S, problem.penalty, lam)
         budget = (config if spent == 0
                   else replace(config, max_iter=config.max_iter - spent))
         rep = run_solver(sub, budget, beta[S], method)
@@ -626,7 +573,7 @@ def _screened_solve(problem: EstimatingProblem, config: SolverConfig,
         if u_sol is None:
             status = SolverStatus.DIVERGED
             break
-        violated = ~keep & (_unit_stats(pen, u_sol, lam) > lam)
+        violated = ~keep & (np.abs(u_sol) > lam)
         if not violated.any():
             break
         if spent >= config.max_iter:
@@ -674,19 +621,18 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
 
     Warm paths are screened after the first lambda when U offers
     ``restrict`` (the built-in linear, least-squares and logistic U) and the
-    penalty is the lasso, the elastic net (screened by coordinate), the
-    group lasso or the sparse group lasso (by group); see
-    :func:`_screened_solve`. Such a lambda is solved on the kept set, with
-    that set's own, smaller Lipschitz bound and so a larger default step,
-    and its solution is checked against every discarded unit's exact
-    inactive test on the full U, so it solves the full problem. Its report
+    penalty is the lasso or the elastic net; see :func:`_screened_solve`.
+    Such a lambda is solved on a kept set of coordinates, with that set's
+    own, smaller Lipschitz bound and so a larger default step, and its
+    solution is checked against every discarded coordinate's exact inactive
+    test ``|U_j| <= lam`` on the full U, so it solves the full problem. Its report
     holds the full-length solution; ``iterations`` and ``trace`` count
     every restricted iteration (renumbered 1..iterations), ``stepsize`` is
     the last restricted step, at which the full problem's fixed-point
     residual is the reported one, and ``flags`` ends with
     ``screened:<kept>/<p>``, the kept coordinates of the last round. Cold
-    paths, the first lambda, other penalties and a U without ``restrict``
-    run unscreened.
+    paths, the first lambda, other penalties (the group penalties included)
+    and a U without ``restrict`` run unscreened.
     """
     lams = [float(l) for l in lambdas]
     if not lams:

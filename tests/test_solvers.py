@@ -715,8 +715,7 @@ def _warm_loop(problem, lambdas, config, method):
 
 
 def _screened_instance(u_kind, pen_kind, seed):
-    """A strongly monotone U on 12 coordinates (4 groups of 3), with its
-    Lipschitz bound L and a function giving a strong-monotonicity modulus
+    """A strongly monotone U on 12 coordinates, with its Lipschitz bound L and a function giving a strong-monotonicity modulus
     on the segment between two points."""
     rng = np.random.default_rng(seed)
     n, p = 40, 12
@@ -752,32 +751,23 @@ def _screened_instance(u_kind, pen_kind, seed):
         u = LinearEstimating(A, b)
         mu = np.linalg.eigvalsh(0.5 * (A + A.T)).min()
         modulus = lambda a, b: mu  # noqa: E731
-    part = GroupPartition([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
-                          [1.0, 1.5, 0.8, 1.2])
-    penalty = {"lasso": Lasso(), "elastic-net": ElasticNet(0.3),
-               "group-lasso": GroupLasso(part),
-               "sparse-group-lasso": SparseGroupLasso(part, 0.4)}[pen_kind]
+    penalty = {"lasso": Lasso(), "elastic-net": ElasticNet(0.3)}[pen_kind]
     return EstimatingProblem(u=u, penalty=penalty), u.lipschitz, modulus
 
 
 def _inactive_kkt(problem, beta):
-    """Largest inactive-test violation over the units that are zero in
-    ``beta``: coordinates for lasso and elastic net (whose inactive tests
-    agree), groups for the group penalties."""
-    if isinstance(problem.penalty, (Lasso, ElasticNet)):
-        rep = kkt_residual(replace(problem, penalty=Lasso()), beta)
-        return float(rep.coordinate[beta == 0.0].max(initial=0.0))
-    part = problem.penalty.partition
-    zero = np.array([not np.any(beta[list(g)]) for g in part.groups])
-    return float(kkt_residual(problem, beta).group[zero].max(initial=0.0))
+    """Largest inactive-test violation over the coordinates that are zero in
+    ``beta`` (the lasso's and the elastic net's inactive tests agree)."""
+    rep = kkt_residual(replace(problem, penalty=Lasso()), beta)
+    return float(rep.coordinate[beta == 0.0].max(initial=0.0))
 
 
 class TestScreenedPath:
     @settings(max_examples=60, deadline=None)
     @given(u_kind=st.sampled_from(["least-squares", "logistic", "linear"]),
-           pen_kind=st.sampled_from(["lasso", "elastic-net", "group-lasso",
-                                     "sparse-group-lasso"]),
-           method=st.sampled_from(["picard", "km", "gra-adaptive"]),
+           pen_kind=st.sampled_from(["lasso", "elastic-net"]),
+           method=st.sampled_from(["picard", "km", "gra-fixed",
+                                   "gra-adaptive"]),
            seed=st.integers(0, 2**31), points=st.sampled_from([4, 7, 12]),
            floor=st.sampled_from([0.02, 0.1]))
     def test_screened_path_solves_the_full_problem(
@@ -807,6 +797,65 @@ class TestScreenedPath:
         assert all(e.report.flags[-1].startswith("screened:")
                    for e in screened[1:])
 
+    def test_a_set_that_keeps_every_coordinate_is_the_full_problem(self):
+        # lambda falls by more than half, so the strong rule keeps every
+        # coordinate and the one round is the unscreened solve
+        X, y, u, lam, prob = lasso_ls_instance(seed=26, n=50, p=8)
+        grid = [lambda_max(u), lambda_max(u) / 3]
+        config = SolverConfig(tol=1e-9)
+        first, second = solve_path(prob, grid, config, method="picard")
+        ref = run_solver(replace(prob, lam=grid[1]), config,
+                         first.report.solution, "picard")
+        rep = second.report
+        assert rep.flags == ("screened:8/8",)
+        np.testing.assert_array_equal(rep.solution, ref.solution)
+        assert rep.trace == ref.trace and rep.stepsize == ref.stepsize
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("u_kind", ["least-squares", "logistic", "linear"])
+    def test_screened_lqa_lasso_path_matches_the_unscreened_one(self, u_kind,
+                                                                seed):
+        # LQA truncates coordinates below zero_threshold to zero; screening
+        # drops those and the full-U test checks them. Its zeros are
+        # approximate and its first lambda ends at max_iter, so the
+        # solutions are compared through their lasso fixed-point residuals R
+        # at tau = 1/L: each is within R*(1 + (1/tau + L)/mu) of the lasso
+        # solution.
+        problem, L, modulus = _screened_instance(u_kind, "lasso", seed)
+        grid = list(lambda_max(problem.u) * np.geomspace(1.0, 0.02, 7))
+        config = SolverConfig(tol=1e-8, max_iter=2000)
+        screened = solve_path(problem, grid, config, method="lqa-newton")
+        reference = _warm_loop(problem, grid, config, "lqa-newton")
+        for entry, ref in zip(screened, reference):
+            rep, full = entry.report, replace(problem, lam=entry.lam)
+            assert rep.status is ref.status
+            assert rep.iterations == len(rep.trace)
+            assert _inactive_kkt(full, rep.solution) <= config.tol
+            r_s = fixed_point_residual(full, rep.solution, 1.0 / L)
+            r_r = fixed_point_residual(full, ref.solution, 1.0 / L)
+            bound = (r_s + r_r) * (1.0 + 2.0 * L / modulus(rep.solution,
+                                                            ref.solution))
+            assert np.linalg.norm(rep.solution - ref.solution) <= bound
+        assert all(e.report.flags[-1].startswith("screened:")
+                   for e in screened[1:])
+
+    def test_lqa_cubic_cost_flag_follows_the_kept_set(self):
+        # the flag marks a solve whose design has more columns than rows;
+        # a screened lambda solves on the kept columns only
+        X, y, u, lam, prob = lasso_ls_instance(seed=25, n=20, p=40, k=3)
+        grid = list(np.geomspace(lambda_max(u), lambda_max(u) / 20, 10))
+        entries = solve_path(prob, grid, SolverConfig(tol=1e-8, max_iter=500),
+                             method="lqa-newton")
+        assert entries[0].report.flags == ("cubic-cost-p-exceeds-n",)
+        wide = []
+        for entry in entries[1:]:
+            *rest, screened = entry.report.flags
+            kept = int(screened.split(":")[1].split("/")[0])
+            assert screened.endswith("/40") and kept < 40
+            wide.append(kept > 20)
+            assert rest == (["cubic-cost-p-exceeds-n"] if wide[-1] else [])
+        assert any(wide) and not all(wide)
+
     @staticmethod
     def _coupled_instance():
         # U_1 = -1.8 beta_0 - 0.79: coordinate 1 looks inactive at the first
@@ -817,7 +866,7 @@ class TestScreenedPath:
         u = LinearEstimating(A, np.array([1.0, 0.79]))
         return EstimatingProblem(u=u, penalty=Lasso()), [1.0, 0.9]
 
-    @pytest.mark.parametrize("method", ["picard", "km", "gra-adaptive"])
+    @pytest.mark.parametrize("method", FIRST_ORDER)
     def test_readmission_fires_and_resolves(self, method):
         problem, grid = self._coupled_instance()
         config = SolverConfig(tol=1e-10, max_iter=100_000)
@@ -868,7 +917,8 @@ class TestScreenedPath:
         assert np.count_nonzero(np.any(entries[0].report.iterates, axis=0)) <= kept
 
     @pytest.mark.parametrize("case", ["custom-u", "ridge", "cold",
-                                      "sgl-alpha-1", "ball"])
+                                      "group-lasso", "sparse-group-lasso",
+                                      "ball"])
     def test_unscreened_paths_are_bit_identical(self, case):
         X, y, u, lam, prob = lasso_ls_instance(seed=23, n=50, p=8)
         warm = True
@@ -879,9 +929,12 @@ class TestScreenedPath:
             prob = replace(prob, penalty=Ridge())
         elif case == "cold":
             warm = False
-        elif case == "sgl-alpha-1":
+        elif case == "group-lasso":
+            prob = replace(prob, penalty=GroupLasso(
+                GroupPartition([[0, 1, 2], [3, 4], [5, 6, 7]])))
+        elif case == "sparse-group-lasso":
             prob = replace(prob, penalty=SparseGroupLasso(
-                GroupPartition([[0, 1, 2, 3], [4, 5, 6, 7]]), 1.0))
+                GroupPartition([[0, 1, 2, 3], [4, 5, 6, 7]]), 0.4))
         else:
             prob = replace(prob, penalty=BallIndicator(BallConstraint("l1", 1.0)))
         grid = list(np.geomspace(lambda_max(u), lambda_max(u) / 50, 6))
