@@ -625,11 +625,11 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     Such a lambda is solved on a kept set of coordinates, with that set's
     own, smaller Lipschitz bound and so a larger default step, and its
     solution is checked against every discarded coordinate's exact inactive
-    test ``|U_j| <= lam`` on the full U, so it solves the full problem. Its report
-    holds the full-length solution; ``iterations`` and ``trace`` count
-    every restricted iteration (renumbered 1..iterations), ``stepsize`` is
-    the last restricted step, at which the full problem's fixed-point
-    residual is the reported one, and ``flags`` ends with
+    test ``|U_j| <= lam`` on the full U, so it solves the full problem. Its
+    report holds the full-length solution; ``iterations`` and ``trace``
+    count every restricted iteration (renumbered 1..iterations),
+    ``stepsize`` is the last restricted step, at which the full problem's
+    fixed-point residual is the reported one, and ``flags`` ends with
     ``screened:<kept>/<p>``, the kept coordinates of the last round. Cold
     paths, the first lambda, other penalties (the group penalties included)
     and a U without ``restrict`` run unscreened.
