@@ -11,7 +11,6 @@ from .model import (
     GOLDEN_RATIO,
     BallConstraint,
     BallIndicator,
-    DegenerateInitError,
     DimensionMismatchError,
     ElasticNet,
     EstimatingProblem,

@@ -26,7 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import fixed_point_residual, kkt_residual, vi_probe
+from .diagnostics import (
+    check_probe_settings,
+    fixed_point_residual,
+    kkt_residual,
+    vi_probe,
+)
 from .estimating import (
     EstimatingFunction,
     LeastSquaresEstimating,
@@ -337,7 +342,7 @@ def _write_report(path: Path, problem: EstimatingProblem, report: SolverReport,
             "solution": report.solution,
             "config": asdict(report.config),
             "trace": {
-                "k": [rec.k for rec in report.trace],
+                "k": list(range(1, report.iterations + 1)),
                 "fp_residual": [rec.fp_residual for rec in report.trace],
                 "step": [rec.step for rec in report.trace],
                 "theta": [rec.theta for rec in report.trace],
@@ -356,6 +361,7 @@ def cmd_solve(args) -> int:
     problem, doc = _build_problem(args)
     config = _config_from_args(args, doc)
     init = _initial_point(args, problem.u.dim)
+    check_probe_settings(args.vi_samples, args.vi_radius)
     report = run_solver(problem, config, init, args.method)
     out = Path(args.out)
     certs = _write_report(out, problem, report, doc, args)
@@ -388,10 +394,11 @@ def cmd_path(args) -> int:
         lams = list(np.geomspace(lmax, lmax / 100.0, args.auto_grid))
     else:
         raise ValidationError("give --lambdas or --auto-grid")
-    # check every lambda before the first solve: an invalid one would end
-    # the command after the solves before it
+    # check every lambda and the probe settings before the first solve: an
+    # invalid one would end the command after the solves before it
     for lam in lams:
         replace(problem, lam=lam)
+    check_probe_settings(args.vi_samples, args.vi_radius)
     entries = solve_path(problem, lams, config, method=args.method,
                          init=init, warm_start=not args.cold)
 

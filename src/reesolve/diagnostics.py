@@ -245,6 +245,15 @@ def _row_blocks(samples: int, p: int):
         start = stop
 
 
+def check_probe_settings(samples: int, radius: float) -> None:
+    """Raise :class:`ValidationError` unless :func:`vi_probe` accepts
+    ``samples`` and ``radius``."""
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    if not (radius > 0.0):
+        raise ValidationError("radius must be positive")
+
+
 def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
              radius: float, seed: int, tol: float = 1e-8) -> ViProbeResult:
     """Sample the inequality
@@ -265,10 +274,7 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
     whatever ``samples`` is, and the worst point is rebuilt from its offset.
     Every value matches a probe over the whole matrix bit for bit.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if not (radius > 0.0):
-        raise ValidationError("radius must be positive")
+    check_probe_settings(samples, radius)
     beta_hat = as_coefficients(beta_hat, problem.u.dim)
     offsets = _probe_offsets(seed, samples, radius, beta_hat.size)
 

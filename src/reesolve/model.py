@@ -66,10 +66,6 @@ class StepOutOfRangeError(ReesolveError):
     pass
 
 
-class DegenerateInitError(ReesolveError):
-    pass
-
-
 class InvalidRhoError(ReesolveError):
     pass
 
@@ -424,10 +420,9 @@ class SolverStatus(str, Enum):
 class IterationRecord:
     """One logged iteration: residual at the new iterate and stepsize used.
 
-    ``theta`` is populated by the adaptive golden-ratio solver only.
+    Numbered by its trace position (from 1); only gra-adaptive sets ``theta``.
     """
 
-    k: int
     fp_residual: float
     step: float
     theta: Optional[float] = None
@@ -437,7 +432,7 @@ class IterationRecord:
 class SolverReport:
     """Outcome of one solver run.
 
-    ``trace`` has exactly ``iterations`` records (k = 1..iterations);
+    ``trace`` holds one record per iteration; ``iterations`` is its length.
     ``initial_residual`` is the residual at the starting point (k = 0).
     ``iterates`` (when recorded) stacks the points row-wise, row k being the
     iterate after k updates, so it has ``iterations + 1`` rows.
@@ -446,13 +441,16 @@ class SolverReport:
     method: str
     status: SolverStatus
     solution: np.ndarray
-    iterations: int
     trace: list[IterationRecord]
     initial_residual: float
     config: SolverConfig
     stepsize: Optional[float] = None
     flags: tuple[str, ...] = ()
     iterates: Optional[np.ndarray] = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def converged(self) -> bool:

@@ -33,7 +33,6 @@ from .estimating import EstimatingFunction, evaluate, jacobian, lipschitz_upper_
 from .model import (
     GOLDEN_RATIO,
     BallIndicator,
-    DegenerateInitError,
     ElasticNet,
     EstimatingProblem,
     IterationRecord,
@@ -101,9 +100,9 @@ class _Run:
             [init.copy()] if config.record_iterates else None)
         self.flags: tuple[str, ...] = ()
 
-    def record(self, k: int, residual: float, step: float,
-               beta: np.ndarray, theta: Optional[float] = None) -> None:
-        self.trace.append(IterationRecord(k, residual, step, theta))
+    def record(self, residual: float, step: float, beta: np.ndarray,
+               theta: Optional[float] = None) -> None:
+        self.trace.append(IterationRecord(residual, step, theta))
         if self.iterates is not None:
             self.iterates.append(beta.copy())
 
@@ -114,7 +113,6 @@ class _Run:
             method=self.method,
             status=status,
             solution=solution,
-            iterations=len(self.trace),
             trace=self.trace,
             initial_residual=initial_residual,
             config=self.config,
@@ -125,23 +123,23 @@ class _Run:
 
 
 def _first_order_loop(method: str, problem: EstimatingProblem,
-                      config: SolverConfig, beta: np.ndarray, make_steps,
+                      config: SolverConfig, init, make_steps,
                       final_prox_image: bool = False) -> SolverReport:
     """The iteration loop shared by picard, km and both golden-ratio solvers.
 
     ``make_steps(beta, u)`` builds the method's step generator from the
-    starting point and ``u = U(beta)``, the only evaluation of U there. The
-    generator yields ``(beta, t, theta)`` for every point, the starting
-    point first, where ``t`` is the stepsize that produced the point (at the
-    start, the one its residual is measured with) and ``theta`` is None or
-    the adaptive golden-ratio ratio. Any other state, such as the
-    golden-ratio anchor, stays inside the generator. It is then
-    sent ``(u, fb)``: ``u = U(beta)`` and the prox image
-    ``fb = prox_{t*lam*Omega}(beta - t*u)``, whose distance to ``beta`` is
-    the fixed-point residual. Everything else lives here: the divergence
-    guard, the trace and recordings, the tolerance test and ``max_iter``. A
-    non-finite value anywhere in an iteration ends the run as diverged,
-    reporting the last point the method produced.
+    starting point ``beta``, the vector ``init``, and ``u = U(beta)``, the
+    only evaluation of U there. The generator yields ``(beta, t, theta)``
+    for every point, the starting point first, where ``t`` is the stepsize
+    that produced the point (at the start, the one its residual is measured
+    with) and ``theta`` is None or the adaptive golden-ratio ratio. Any
+    other state, such as the golden-ratio anchor, stays inside the
+    generator. It is then sent ``(u, fb)``: ``u = U(beta)`` and the prox
+    image ``fb = prox_{t*lam*Omega}(beta - t*u)``, whose distance to
+    ``beta`` is the fixed-point residual. Everything else lives here: the
+    divergence guard, the trace and recordings, the tolerance test and
+    ``max_iter``. A non-finite value anywhere in an iteration ends the run
+    as diverged, reporting the last point the method produced.
 
     Inputs are checked once: the start point goes through the public
     :func:`evaluate` and :func:`prox`, which check shapes and finiteness.
@@ -150,6 +148,7 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
     non-finite, which the divergence guard catches (a ball projection checks
     its own input and raises instead, which ends the run the same way).
     """
+    beta = as_coefficients(init, problem.u.dim).copy()
     run = _Run(method, config, beta)
     status, t, r0 = SolverStatus.MAX_ITER_REACHED, None, math.inf
     u_fn, pen, lam = problem.u, problem.penalty, problem.lam
@@ -161,7 +160,7 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
         r0 = _norm(fb - beta)
         if r0 <= config.tol:
             return run.report(SolverStatus.CONVERGED, beta, r0, t)
-        for k in range(1, config.max_iter + 1):
+        for _ in range(config.max_iter):
             beta, t, theta = steps.send((u, fb))
             u = u_fn(beta)
             fb = _prox(pen, beta - t * u, t * lam)
@@ -170,7 +169,7 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
             if not r <= DIVERGENCE_RESIDUAL:
                 status = SolverStatus.DIVERGED
                 break
-            run.record(k, r, t, beta, theta)
+            run.record(r, t, beta, theta)
             if r <= config.tol:
                 status = SolverStatus.CONVERGED
                 break
@@ -185,7 +184,7 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
                           t * problem.lam)
             r_next = _norm(f_next - fb)
             if r_next <= config.tol:
-                run.record(k + 1, r_next, t, fb)
+                run.record(r_next, t, fb)
                 beta = fb
         except NonFiniteOutputError:
             pass
@@ -202,8 +201,7 @@ def _averaged_steps(beta: np.ndarray, tau: float, mix: float):
 def _averaged_iteration(problem: EstimatingProblem, config: SolverConfig,
                         init, mix: float, method: str) -> SolverReport:
     tau = config.tau if config.tau is not None else 1.0 / _lipschitz(problem)
-    beta = as_coefficients(init, problem.u.dim).copy()
-    return _first_order_loop(method, problem, config, beta,
+    return _first_order_loop(method, problem, config, init,
                              lambda b, u: _averaged_steps(b, tau, mix),
                              final_prox_image=mix < 1.0)
 
@@ -232,34 +230,24 @@ def solve_km(problem: EstimatingProblem, config: SolverConfig,
     return _averaged_iteration(problem, config, init, config.rho, "km")
 
 
-def _unpack_pair(init, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Accept either a (first, second) tuple of vectors or a single vector."""
-    if isinstance(init, tuple) and len(init) == 2:
-        a = as_coefficients(init[0], dim).copy()
-        b = as_coefficients(init[1], dim).copy()
-        return a, b, True
-    beta = as_coefficients(init, dim).copy()
-    return beta, beta.copy(), False
-
-
 def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
-                        beta: np.ndarray, u: np.ndarray, bbar: np.ndarray,
-                        t: Optional[float] = None,
-                        beta_prev: Optional[np.ndarray] = None,
-                        t_bar: float = math.inf):
+                        beta: np.ndarray, u: np.ndarray,
+                        t: Optional[float] = None, t_bar: float = math.inf):
     """Anchored golden-ratio steps, shared by the fixed and adaptive solvers.
 
-    Each step pulls the anchor toward the iterate,
-    ``bbar <- ((psi-1)*beta + bbar)/psi``, then steps
+    The anchor starts at the starting point ``beta``. Each step pulls it
+    toward the iterate, ``bbar <- ((psi-1)*beta + bbar)/psi``, then steps
     ``beta <- prox_{t*lam*Omega}(bbar - t*U(beta))``. Given ``t``, the
-    stepsize stays fixed; given ``beta_prev`` instead, it adapts as described
-    in :func:`solve_gra_adaptive` and every point carries its ``theta``.
-    ``u`` is U at the starting point ``beta``.
+    stepsize stays fixed; with ``t`` None it adapts as described in
+    :func:`solve_gra_adaptive` and every point carries its ``theta``.
+    ``u`` is U at the starting point.
     """
-    adaptive = beta_prev is not None
-    theta = None
+    bbar, theta = beta, None
+    adaptive = t is None
     if adaptive:
         rho = 1.0 / psi + 1.0 / psi ** 2
+        offset = 1e-3 * (1.0 + _norm(beta))
+        beta_prev = beta + offset / math.sqrt(beta.size) * np.ones(beta.size)
         u_prev = evaluate(problem.u, beta_prev)
         du = _norm(u - u_prev)
         t = _norm(beta - beta_prev) / du if du > 0.0 else t_bar
@@ -293,8 +281,8 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
 
     Parameters
     ----------
-    init : array or (beta, beta_bar) pair
-        Starting iterate and anchor; a single vector starts both there.
+    init : array
+        Starting point; the anchor starts there too.
 
     Notes
     -----
@@ -304,7 +292,7 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     ``beta <- prox_{t*lam*Omega}(bbar - t*U(beta))``. Convergence for
     monotone, L-Lipschitz U; the residual is the fixed-point residual with
     the same stepsize t as the prox scale. The iterates are recorded; the
-    anchors are not, but follow from them and the starting anchor by the
+    anchors are not, but follow from the iterates and the start point by the
     recursion above.
     """
     L = _lipschitz(problem)
@@ -313,11 +301,9 @@ def solve_gra_fixed(problem: EstimatingProblem, config: SolverConfig,
     if not (0.0 < t <= bound * (1.0 + 1e-12)):
         raise StepOutOfRangeError(
             f"tau {t} outside the admissible range (0, {bound}] for L={L}")
-    beta, bbar, _ = _unpack_pair(init, problem.u.dim)
     return _first_order_loop(
-        "gra-fixed", problem, config, beta,
-        lambda b, u: _golden_ratio_steps(problem, GOLDEN_RATIO, b, u, bbar,
-                                         t=t))
+        "gra-fixed", problem, config, init,
+        lambda b, u: _golden_ratio_steps(problem, GOLDEN_RATIO, b, u, t=t))
 
 
 def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
@@ -327,11 +313,10 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
 
     Parameters
     ----------
-    init : (beta_previous, beta_current) pair or single vector
-        Two distinct points seed the initial stepsize
-        ``t0 = ||b1 - b0|| / ||U(b1) - U(b0)||``. A single vector is
-        augmented with a small deterministic offset. Identical points raise
-        :class:`DegenerateInitError`.
+    init : array
+        Starting point and anchor. An internal second point ``b1``, ``init``
+        plus ``1e-3*(1 + ||init||)/sqrt(p)`` in every coordinate, seeds the
+        first stepsize ``t0 = ||b1 - init|| / ||U(b1) - U(init)||``.
 
     Notes
     -----
@@ -347,18 +332,9 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
     the fixed variant, and sets ``theta_k = psi * t_k / t_{k-1}``. The logged
     residual uses the current ``t_k`` as the prox scale.
     """
-    beta_prev, beta, was_pair = _unpack_pair(init, problem.u.dim)
-    if not was_pair:
-        offset = 1e-3 * (1.0 + _norm(beta))
-        beta_prev = beta + offset / math.sqrt(beta.size) * np.ones(beta.size)
-    if np.array_equal(beta_prev, beta):
-        raise DegenerateInitError(
-            "adaptive stepsizes need two distinct starting points")
-    bbar = beta.copy()
     return _first_order_loop(
-        "gra-adaptive", problem, config, beta,
-        lambda b, u: _golden_ratio_steps(problem, config.psi, b, u, bbar,
-                                         beta_prev=beta_prev,
+        "gra-adaptive", problem, config, init,
+        lambda b, u: _golden_ratio_steps(problem, config.psi, b, u,
                                          t_bar=config.t_bar))
 
 
@@ -413,7 +389,7 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
 
     status = SolverStatus.MAX_ITER_REACHED
     diag_idx = slice(0, p * p, p + 1)
-    for k in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         # analytic when U has one, else finite differences on opt-in;
         # copied, because U may hand out a cached matrix
         M = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian).copy()
@@ -439,20 +415,11 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
         if not r <= DIVERGENCE_RESIDUAL:
             status = SolverStatus.DIVERGED
             break
-        run.record(k, r, 1.0, beta)
+        run.record(r, 1.0, beta)
         if r <= config.tol:
             status = SolverStatus.CONVERGED
             break
     return finish(status, beta, r0)
-
-
-def _projected_start(ball, init, dim: int):
-    """Project a start (one vector or a pair) onto the ball."""
-    a, b, was_pair = _unpack_pair(init, dim)
-    a, b = project_ball(ball, a), project_ball(ball, b)
-    # a pair projected onto one point is a single start, which gra-adaptive
-    # re-perturbs instead of rejecting as degenerate
-    return (a, b) if was_pair and not np.array_equal(a, b) else b
 
 
 # method name -> solve(problem, config, init)
@@ -486,7 +453,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
 
     Accepts ``picard``, ``km``, ``gra-fixed``, ``gra-adaptive`` and
     ``lqa-newton`` (alias ``lqa``). For a ball-indicator penalty the
-    starting point(s) are projected onto the ball first, which keeps the
+    starting point is projected onto the ball first, which keeps the
     averaged km iterates feasible even when a run stops at ``max_iter``.
     Every solver has the signature ``solve(problem, config, init)``.
     ``config.tau`` steps picard, km and gra-fixed; unset, it is derived from
@@ -499,7 +466,8 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
         raise ValidationError(
             f"unknown method {method!r}; choose one of {', '.join(SOLVER_NAMES)}")
     if isinstance(problem.penalty, BallIndicator):
-        init = _projected_start(problem.penalty.ball, init, problem.u.dim)
+        init = project_ball(problem.penalty.ball,
+                            as_coefficients(init, problem.u.dim))
     return _SOLVERS[name](problem, config, init)
 
 
@@ -586,15 +554,12 @@ def _screened_solve(problem: EstimatingProblem, config: SolverConfig,
 def _merged_report(rounds, status: SolverStatus, beta: np.ndarray,
                    config: SolverConfig, p: int) -> SolverReport:
     """One report for the restricted rounds of a screened lambda: traces
-    concatenated and renumbered, iterate rows scattered back to p columns
-    (each later round's first row repeats the previous round's last point
-    and is dropped), flags joined, and ``screened:<kept>/<p>`` appended."""
-    trace: list[IterationRecord] = []
+    concatenated, iterate rows scattered back to p columns (each later
+    round's first row repeats the previous round's last point and is
+    dropped), flags joined, and ``screened:<kept>/<p>`` appended."""
+    trace = [rec for _, rep in rounds for rec in rep.trace]
     rows = []
     for S, rep in rounds:
-        offset = len(trace)
-        trace += (rep.trace if offset == 0 else
-                  [replace(rec, k=offset + rec.k) for rec in rep.trace])
         if rep.iterates is not None:
             wide = np.zeros((rep.iterates.shape[0], p))
             wide[:, S] = rep.iterates
@@ -602,8 +567,7 @@ def _merged_report(rounds, status: SolverStatus, beta: np.ndarray,
     first, (S, last) = rounds[0][1], rounds[-1]
     flags = tuple(dict.fromkeys(f for _, rep in rounds for f in rep.flags))
     return SolverReport(
-        method=last.method, status=status, solution=beta,
-        iterations=len(trace), trace=trace,
+        method=last.method, status=status, solution=beta, trace=trace,
         initial_residual=first.initial_residual, config=config,
         stepsize=last.stepsize, flags=flags + (f"screened:{S.size}/{p}",),
         iterates=np.vstack(rows) if rows else None)
@@ -626,11 +590,10 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     own, smaller Lipschitz bound and so a larger default step, and its
     solution is checked against every discarded coordinate's exact inactive
     test ``|U_j| <= lam`` on the full U, so it solves the full problem. Its
-    report holds the full-length solution; ``iterations`` and ``trace``
-    count every restricted iteration (renumbered 1..iterations),
-    ``stepsize`` is the last restricted step, at which the full problem's
-    fixed-point residual is the reported one, and ``flags`` ends with
-    ``screened:<kept>/<p>``, the kept coordinates of the last round. Cold
+    report holds the full-length solution; ``trace`` holds every restricted
+    iteration, ``stepsize`` is the last restricted step, at which the full
+    problem's fixed-point residual is the reported one, and ``flags`` ends
+    with ``screened:<kept>/<p>``, the kept coordinates of the last round. Cold
     paths, the first lambda, other penalties (the group penalties included)
     and a U without ``restrict`` run unscreened.
     """
@@ -658,7 +621,7 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
         except (ValueError, np.linalg.LinAlgError) as exc:
             report = SolverReport(
                 method=method, status=SolverStatus.NUMERICAL_FAILURE,
-                solution=current.copy(), iterations=0, trace=[],
+                solution=current.copy(), trace=[],
                 initial_residual=math.inf, config=config,
                 flags=(f"error:{type(exc).__name__}",))
         entries.append(PathEntry(lam, report))

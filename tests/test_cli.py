@@ -557,6 +557,31 @@ def test_path_invalid_lambda_exits_2_before_solving(lasso_files, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "path"])
+@pytest.mark.parametrize("probe, message", [
+    (["--vi-samples", "0"], "samples must be >= 1"),
+    (["--vi-radius", "0"], "radius must be positive"),
+    (["--vi-radius", "nan"], "radius must be positive"),
+], ids=["samples-0", "radius-0", "radius-nan"])
+def test_bad_probe_settings_exit_2_before_solving(lasso_files, capsys,
+                                                 monkeypatch, command, probe,
+                                                 message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the probe settings")
+
+    monkeypatch.setattr(cli, "run_solver", no_solve)
+    monkeypatch.setattr(cli, "solve_path", no_solve)
+    tmp, xp, yp, lam = lasso_files
+    out = tmp / "out"
+    target = (["--lambda", str(lam), "--out", str(out)] if command == "solve"
+              else ["--auto-grid", "5", "--out-dir", str(out)])
+    code = main([command, "--penalty", "lasso", "--design", xp,
+                 "--response", yp] + target + probe)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_path_screened_reports_certify_the_full_problem(tmp_path):
     # p > n, so the warm lasso path screens every lambda after the first;
     # each report's certificates and KKT column cover all p coordinates
@@ -582,7 +607,10 @@ def test_path_screened_reports_certify_the_full_problem(tmp_path):
         if i:
             assert kept[0].endswith("/50") and int(kept[0][9:-3]) < 50
         assert len(report["solution"]) == 50
-        assert len(report["trace"]["k"]) == report["iterations"]
+        # merged rounds still number their iterations 1..iterations
+        n = report["iterations"]
+        assert report["trace"]["k"] == list(range(1, n + 1))
+        assert all(len(column) == n for column in report["trace"].values())
         fp = report["certificates"]["fixed_point"]
         assert fp["tau"] == report["stepsize"] and fp["residual"] <= 1e-8
         problem = EstimatingProblem(u=u, penalty=Lasso(), lam=float(row.split(",")[0]))

@@ -338,13 +338,13 @@ class TestOracleLassoCd:
 
 
 def synthetic_report(residuals, iterates=None, rho=0.5, solution=None):
-    trace = [IterationRecord(k + 1, r, 1.0) for k, r in enumerate(residuals[1:])]
+    trace = [IterationRecord(r, 1.0) for r in residuals[1:]]
     if solution is None:
         solution = (iterates[-1] if iterates is not None
                     else np.zeros(2))
     return SolverReport(
         method="km", status=SolverStatus.CONVERGED, solution=solution,
-        iterations=len(trace), trace=trace, initial_residual=residuals[0],
+        trace=trace, initial_residual=residuals[0],
         config=SolverConfig(rho=rho),
         iterates=None if iterates is None else np.asarray(iterates))
 
