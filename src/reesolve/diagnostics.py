@@ -182,7 +182,9 @@ def _omega_rows(spec: PenaltySpec, Z: np.ndarray) -> np.ndarray:
         f"no row evaluator for {type(spec).__name__}")
 
 
-def _draw_offsets(seed, samples: int, radius: float, p: int) -> np.ndarray:
+# one slot: a path probes every lambda with the same (read-only) draw
+@lru_cache(maxsize=1)
+def _draw_offsets(seed: int, samples: int, radius: float, p: int) -> np.ndarray:
     """``samples`` points uniform in the p-ball of ``radius``, as offsets."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((samples, p))
@@ -191,26 +193,6 @@ def _draw_offsets(seed, samples: int, radius: float, p: int) -> np.ndarray:
     offsets = radii[:, None] * dirs
     offsets.flags.writeable = False
     return offsets
-
-
-# one slot: a path probes every lambda with the same draw. typed=True keeps
-# equal keys that compute differently apart (radius 1 vs np.longdouble(1))
-_cached_offsets = lru_cache(maxsize=1, typed=True)(_draw_offsets)
-
-
-def _probe_offsets(seed, samples: int, radius: float, p: int) -> np.ndarray:
-    """The probe's offsets, drawn once per ``(seed, samples, radius, p)``.
-
-    Only integer seeds are cached: a Generator or SeedSequence seed must
-    advance or re-derive exactly as ``default_rng`` does on every call, and
-    an unhashable key (a list seed, an array radius) draws uncached.
-    """
-    if isinstance(seed, numbers.Integral):
-        try:
-            return _cached_offsets(seed, samples, radius, p)
-        except TypeError:  # an unhashable key
-            pass
-    return _draw_offsets(seed, samples, radius, p)
 
 
 @dataclass
@@ -245,13 +227,22 @@ def _row_blocks(samples: int, p: int):
         start = stop
 
 
-def check_probe_settings(samples: int, radius: float) -> None:
-    """Raise :class:`ValidationError` unless :func:`vi_probe` accepts
-    ``samples`` and ``radius``."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if not (radius > 0.0):
-        raise ValidationError("radius must be positive")
+def check_probe_settings(samples: int, radius: float,
+                         seed: int) -> tuple[int, float, int]:
+    """:func:`vi_probe`'s settings as ``(int, float, int)``: an integer
+    ``samples >= 1``, a positive finite real ``radius`` and a non-negative
+    integer ``seed`` (numpy integers and bools count). Anything else raises
+    :class:`ValidationError`."""
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValidationError(
+            f"samples must be >= 1 (an integer), got {samples!r}")
+    if not isinstance(radius, numbers.Real) or not 0.0 < radius < math.inf:
+        raise ValidationError(
+            f"radius must be positive and finite, got {radius!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return int(samples), float(radius), int(seed)
 
 
 def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
@@ -262,21 +253,23 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
 
     For ball-indicator penalties the samples are projected onto the feasible
     set first and the inequality reduces to ``U(bh)^T (b - bh) >= 0`` over
-    feasible ``b`` (an infeasible candidate fails outright). Deterministic
-    for a given seed; reports the most negative value found.
+    feasible ``b`` (an infeasible candidate fails outright). Passes when
+    the most negative value found is at least ``-tol``; a value that
+    overflows reads nan and fails, without a warning.
 
-    The random offsets added to ``bh`` depend only on ``(seed, samples,
-    radius, p)``, so probes that share them (every lambda of a path) reuse
-    one draw for an integer seed. The last draw stays cached between calls:
-    one read-only ``samples x p`` float64 matrix, 3.2 MB for 1000 samples at
+    :func:`check_probe_settings` checks the settings; the seed is an
+    integer. The random offsets added to ``bh`` depend only on ``(seed,
+    samples, radius, p)``, so probes that share them (every lambda of a
+    path) reuse one draw. The last draw stays cached between calls: one
+    read-only ``samples x p`` float64 matrix, 3.2 MB for 1000 samples at
     p=400. The points ``bh + offset`` are formed and valued a block of rows
     at a time (about 1 MB each), so a probe's temporaries stay at that size
     whatever ``samples`` is, and the worst point is rebuilt from its offset.
     Every value matches a probe over the whole matrix bit for bit.
     """
-    check_probe_settings(samples, radius)
+    samples, radius, seed = check_probe_settings(samples, radius, seed)
     beta_hat = as_coefficients(beta_hat, problem.u.dim)
-    offsets = _probe_offsets(seed, samples, radius, beta_hat.size)
+    offsets = _draw_offsets(seed, samples, radius, beta_hat.size)
 
     u_hat = evaluate(problem.u, beta_hat)
     pen = problem.penalty
@@ -294,18 +287,19 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
         return B
 
     values = np.empty(samples)
-    for start, stop in _row_blocks(samples, beta_hat.size):
-        B = points(offsets[start:stop])
-        block = (B - beta_hat) @ u_hat
-        if with_omega:
-            block = block + problem.lam * (_omega_rows(pen, B) - omega_hat)
-        values[start:stop] = block
-
-    worst_idx = int(np.argmin(values))
-    worst = float(values[worst_idx])
-    return ViProbeResult(worst >= -tol, worst,
-                         points(offsets[worst_idx:worst_idx + 1])[0],
-                         samples, radius, seed, tol)
+    # a huge radius overflows to inf and nan; a nan worst value fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in _row_blocks(samples, beta_hat.size):
+            B = points(offsets[start:stop])
+            block = (B - beta_hat) @ u_hat
+            if with_omega:
+                block = block + problem.lam * (_omega_rows(pen, B) - omega_hat)
+            values[start:stop] = block
+        worst_idx = int(np.argmin(values))
+        worst = float(values[worst_idx])
+        return ViProbeResult(worst >= -tol, worst,
+                             points(offsets[worst_idx:worst_idx + 1])[0],
+                             samples, radius, seed, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -440,17 +440,22 @@ def test_bench_flags_lqa_with_p_above_n(tmp_path):
     assert "cubic-cost-p-exceeds-n" in row
 
 
-def _bench_blas_pinned(tmp_path, **extra):
+def _bench_rows(tmp_path, **fields):
+    """Run ``bench`` on a small lasso manifest; one dict per CSV row."""
     manifest = {"schema_version": 1, "n": 20, "p": 8, "penalty": "lasso",
-                "solver": ["picard", "km"], "seed": 0, "lambda_rel": 0.3,
-                "tol": 1e-6, **extra}
+                "solver": "picard", "seed": 0, "lambda_rel": 0.3,
+                "tol": 1e-6, **fields}
     mpath = tmp_path / "bench.json"
     mpath.write_text(json.dumps(manifest))
     out = tmp_path / "bench.csv"
     assert main(["bench", "--manifest", str(mpath), "--out", str(out)]) == 0
     header, *rows = out.read_text().strip().splitlines()
-    col = header.split(",").index("blas_pinned")
-    return [r.split(",")[col] for r in rows]
+    return [dict(zip(header.split(","), r.split(","))) for r in rows]
+
+
+def _bench_blas_pinned(tmp_path):
+    return [row["blas_pinned"]
+            for row in _bench_rows(tmp_path, solver=["picard", "km"])]
 
 
 def test_bench_reports_unpinned_blas_without_threadpoolctl(tmp_path, monkeypatch):
@@ -557,12 +562,14 @@ def test_path_invalid_lambda_exits_2_before_solving(lasso_files, capsys,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "path"])
+@pytest.mark.parametrize("command", ["solve", "path", "check"])
 @pytest.mark.parametrize("probe, message", [
     (["--vi-samples", "0"], "samples must be >= 1"),
     (["--vi-radius", "0"], "radius must be positive"),
     (["--vi-radius", "nan"], "radius must be positive"),
-], ids=["samples-0", "radius-0", "radius-nan"])
+    (["--vi-radius", "inf"], "radius must be positive and finite"),
+    (["--seed", "-1"], "seed must be a non-negative integer"),
+], ids=["samples-0", "radius-0", "radius-nan", "radius-inf", "seed-negative"])
 def test_bad_probe_settings_exit_2_before_solving(lasso_files, capsys,
                                                  monkeypatch, command, probe,
                                                  message):
@@ -573,13 +580,65 @@ def test_bad_probe_settings_exit_2_before_solving(lasso_files, capsys,
     monkeypatch.setattr(cli, "solve_path", no_solve)
     tmp, xp, yp, lam = lasso_files
     out = tmp / "out"
-    target = (["--lambda", str(lam), "--out", str(out)] if command == "solve"
-              else ["--auto-grid", "5", "--out-dir", str(out)])
+    np.savetxt(tmp / "beta.csv", np.zeros(6), delimiter=",")
+    target = {
+        "solve": ["--lambda", str(lam), "--out", str(out)],
+        "path": ["--auto-grid", "5", "--out-dir", str(out)],
+        "check": ["--lambda", str(lam), "--beta", str(tmp / "beta.csv")],
+    }[command]
     code = main([command, "--penalty", "lasso", "--design", xp,
                  "--response", yp] + target + probe)
     assert code == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+def _l1_ball_report(tmp_path, scale):
+    """A converged picard report on an l1 ball of radius 1; its probe reads
+    -5.3e-8 with ``scale`` sqrt(40) and -1.1e-9 with ``scale`` 1."""
+    X, y, u, lam, prob = lasso_ls_instance(seed=101, n=40, p=8)
+    np.savetxt(tmp_path / "X.csv", X * scale, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    problem = ["--penalty", "ball", "--ball-norm", "l1", "--radius", "1",
+               "--design", str(tmp_path / "X.csv"),
+               "--response", str(tmp_path / "y.csv")]
+    out = tmp_path / "report.json"
+    assert main(["solve", "--out", str(out)] + problem) == 0
+    return out, problem
+
+
+@pytest.mark.parametrize("scale, vi_tol, verdict, code", [
+    (math.sqrt(40), "1e-6", "pass", 0), (1.0, "1e-10", "FAIL", 1),
+], ids=["loose", "tight"])
+def test_check_vi_verdict_follows_vi_tol(tmp_path, capsys, scale, vi_tol,
+                                         verdict, code):
+    # each probe reads on the other side of the default -1e-8 from
+    # -vi_tol, so the default tolerance gives the opposite verdict
+    out, problem = _l1_ball_report(tmp_path, scale)
+    worst = json.loads(out.read_text())["certificates"]["vi_probe"]["worst"]
+    assert (-1e-6 < worst < -1e-8) if code == 0 else (-1e-8 < worst < -1e-10)
+    capsys.readouterr()
+    assert main(["check", "--report", str(out), "--vi-tol", vi_tol]
+                + problem) == code
+    text = capsys.readouterr().out
+    assert f"vi probe: {verdict} " in text
+    assert ("all certificates pass" in text) == (code == 0)
+
+
+def test_overflowing_probe_prints_fail_without_warnings(lasso_files, capsys):
+    # the suite turns warnings into errors, so a numpy overflow warning
+    # fails this test
+    tmp, xp, yp, lam = lasso_files
+    code = main(["solve", "--penalty", "elastic-net", "--lambda", str(lam),
+                 "--design", xp, "--response", yp, "--vi-radius", "1e308",
+                 "--out", str(tmp / "report.json")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert ("vi probe: FAIL (samples=1000, radius=1e+308, seed=0, worst=nan)"
+            in captured.out)
+    assert captured.err == ""
 
 
 def test_path_screened_reports_certify_the_full_problem(tmp_path):
@@ -804,6 +863,37 @@ def test_check_report_with_null_problem_block(lasso_files, capsys):
     out.write_text(json.dumps(report))
     assert main(["check", "--report", str(out)] + problem) == 0
     assert "all certificates pass" in capsys.readouterr().out
+
+
+def test_bench_invalid_lambda_is_an_error_row(tmp_path):
+    [row] = _bench_rows(tmp_path, **{"lambda": -1})
+    assert row["status"] == "error:ValidationError"
+    assert row["iterations"] == "0"
+    for col in ("wall_seconds", "per_iteration_seconds", "final_residual",
+                "flags"):
+        assert row[col] == ""
+
+
+def test_bench_start_at_the_solution_reports_its_residual(tmp_path):
+    # above lambda_max zero is the solution, so its residual is exactly 0
+    [row] = _bench_rows(tmp_path, lambda_rel=2)
+    assert row["status"] == "converged"
+    assert row["iterations"] == "0"
+    assert float(row["final_residual"]) == 0.0
+    assert float(row["wall_seconds"]) >= 0.0
+
+
+def test_lqa_singular_system_prints_its_flag(tmp_path, capsys):
+    np.savetxt(tmp_path / "A.csv", np.ones((2, 2)), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", [1.0, 2.0], delimiter=",")
+    code = main(["solve", "--method", "lqa", "--penalty", "lasso",
+                 "--matrix", str(tmp_path / "A.csv"),
+                 "--offset", str(tmp_path / "b.csv"), "--lambda", "0",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "status: numerical_failure (iterations=0)" in text
+    assert "flag: singular-system\n" in text
 
 
 def test_bench_rejects_zero_repeats(tmp_path, capsys):

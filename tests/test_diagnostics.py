@@ -29,6 +29,7 @@ from reesolve import (
     SolverStatus,
     SparseGroupLasso,
     UnsupportedPenaltyError,
+    ValidationError,
     evaluate,
     fixed_point_residual,
     kkt_residual,
@@ -164,6 +165,33 @@ class TestViProbe:
         b = vi_probe(prob, np.zeros(10), 100, 1.0, seed=7)
         assert a.worst_value == b.worst_value
 
+    @pytest.mark.parametrize("samples, radius, seed, message", [
+        (0, 1.0, 0, "samples must be >= 1"),
+        (2.0, 1.0, 0, "samples must be >= 1"),
+        (10, 0.0, 0, "radius must be positive"),
+        (10, math.nan, 0, "radius must be positive"),
+        (10, math.inf, 0, "radius must be positive and finite"),
+        (10, 1.0, -1, "seed must be a non-negative integer"),
+        (10, 1.0, 1.5, "seed must be a non-negative integer"),
+    ], ids=["samples-0", "samples-float", "radius-0", "radius-nan",
+            "radius-inf", "seed-negative", "seed-float"])
+    def test_bad_settings_are_rejected(self, samples, radius, seed, message):
+        X, y, u, lam, prob = lasso_ls_instance(seed=10)
+        with pytest.raises(ValidationError, match=message):
+            vi_probe(prob, np.zeros(10), samples, radius, seed)
+
+    @pytest.mark.parametrize("penalty", [
+        Lasso(), GroupLasso(GroupPartition([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])),
+    ], ids=["lasso", "group-lasso"])
+    def test_overflowing_probe_fails_without_warnings(self, penalty):
+        # a finite radius whose points overflow: the values read nan, and
+        # the suite's warnings-as-errors setting catches any warning
+        X, y, u, lam, prob = lasso_ls_instance(seed=10)
+        prob = EstimatingProblem(u=u, penalty=penalty, lam=lam)
+        probe = vi_probe(prob, np.zeros(10), 100, 1e308, seed=0)
+        assert not probe.passed
+        assert math.isnan(probe.worst_value)
+
 
 def _probe_reference(problem, beta_hat, samples, radius, seed, tol=1e-8):
     """vi_probe as it was before its draw was cached and its points blocked:
@@ -268,12 +296,12 @@ class TestViProbeCachedDraw:
         assert max(sizes) <= max(2, diagnostics._BLOCK_ELEMENTS // p) + 1
 
     def test_offsets_are_read_only(self):
-        offsets = diagnostics._probe_offsets(3, 20, 1.5, 4)
+        offsets = diagnostics._draw_offsets(3, 20, 1.5, 4)
         assert offsets.shape == (20, 4)
         assert not offsets.flags.writeable
         with pytest.raises(ValueError):
             offsets[0, 0] = 0.0
-        assert diagnostics._probe_offsets(3, 20, 1.5, 4) is offsets
+        assert diagnostics._draw_offsets(3, 20, 1.5, 4) is offsets
 
     def test_mutating_worst_point_leaves_later_probes_alone(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=12)
@@ -283,29 +311,32 @@ class TestViProbeCachedDraw:
         _assert_same_probe(vi_probe(prob, beta, 200, 1.0, seed=4),
                            _probe_reference(prob, beta, 200, 1.0, 4))
 
-    @pytest.mark.parametrize("make_seed", [
-        lambda: 5, lambda: np.int64(5), lambda: np.uint32(5), lambda: True,
-        lambda: [5, 6], lambda: (5, 6), lambda: np.array([5, 6]),
-        lambda: np.random.SeedSequence(5),
+    # integer seeds match a fresh draw; any other seed kind is rejected
+    @pytest.mark.parametrize("make_seed, integer", [
+        (lambda: 5, True), (lambda: np.int64(5), True),
+        (lambda: np.uint32(5), True), (lambda: True, True),
+        (lambda: [5, 6], False), (lambda: (5, 6), False),
+        (lambda: np.array([5, 6]), False),
+        (lambda: np.random.SeedSequence(5), False),
     ], ids=["int", "int64", "uint32", "bool", "list", "tuple", "array",
             "seed-sequence"])
-    def test_every_seed_kind_matches_fresh_draw(self, make_seed):
+    def test_every_seed_kind_matches_fresh_draw(self, make_seed, integer):
         X, y, u, lam, prob = lasso_ls_instance(seed=13)
         beta = np.zeros(10)
+        if not integer:
+            with pytest.raises(ValidationError, match="seed must be"):
+                vi_probe(prob, beta, 50, 1.0, make_seed())
+            return
         for _ in range(2):
-            _assert_same_probe(vi_probe(prob, beta, 50, 1.0, make_seed()),
-                               _probe_reference(prob, beta, 50, 1.0,
-                                                make_seed()))
+            result = vi_probe(prob, beta, 50, 1.0, make_seed())
+            _assert_same_probe(result, _probe_reference(prob, beta, 50, 1.0,
+                                                        make_seed()))
+            assert type(result.seed) is int and result.seed == make_seed()
 
-    def test_generator_seed_advances_on_every_call(self):
+    def test_generator_seed_is_rejected(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=14)
-        beta = np.zeros(10)
-        gen, twin = np.random.default_rng(9), np.random.default_rng(9)
-        a = vi_probe(prob, beta, 50, 1.0, gen)
-        b = vi_probe(prob, beta, 50, 1.0, gen)
-        _assert_same_probe(a, _probe_reference(prob, beta, 50, 1.0, twin))
-        _assert_same_probe(b, _probe_reference(prob, beta, 50, 1.0, twin))
-        assert not np.array_equal(a.worst_point, b.worst_point)
+        with pytest.raises(ValidationError, match="seed must be"):
+            vi_probe(prob, np.zeros(10), 50, 1.0, np.random.default_rng(9))
 
 
 class TestOracleLassoCd:

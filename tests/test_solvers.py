@@ -522,6 +522,15 @@ class TestLqaNewton:
                                np.zeros(60))
         assert "cubic-cost-p-exceeds-n" in rep.flags
 
+    def test_singular_system_is_a_numerical_failure(self):
+        # at lambda 0 the Newton matrix is the singular Jacobian itself
+        u = LinearEstimating([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.0)
+        rep = solve_lqa_newton(prob, SolverConfig(), np.zeros(2))
+        assert rep.status is SolverStatus.NUMERICAL_FAILURE
+        assert rep.flags == ("singular-system",)
+        assert rep.iterations == 0
+
     def test_truncation_to_exact_zero(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=12)
         cfg = SolverConfig(tol=1e-11, max_iter=500, epsilon_lqa=1e-10,
@@ -918,6 +927,17 @@ class TestScreenedPath:
                             method="picard")[1].report
         assert report.iterations <= 8
         assert report.status is SolverStatus.MAX_ITER_REACHED
+
+    def test_budget_spent_with_a_violator_left(self):
+        # one iteration solves coordinate 0 alone; coordinate 1 then
+        # violates its test, and no budget is left to re-admit it
+        problem, grid = self._coupled_instance()
+        report = solve_path(problem, grid, SolverConfig(tol=1e-10, max_iter=1),
+                            method="picard")[1].report
+        assert report.status is SolverStatus.MAX_ITER_REACHED
+        assert report.iterations == 1
+        assert report.flags == ("screened:1/2",)
+        assert abs(problem.u(report.solution)[1]) > grid[1]
 
     def test_iterates_are_scattered_to_p_columns(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=22, n=60, p=30, k=3)
