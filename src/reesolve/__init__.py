@@ -1,7 +1,7 @@
 """Solvers and certificates for regularized estimating equations.
 
 Solve ``0 in U(beta) + lam * dOmega(beta)`` through its equivalent proximal
-fixed-point and variational-inequality formulations: five interchangeable
+fixed-point and variational-inequality formulations: six interchangeable
 iterative solvers, exact proximal operators for the standard sparsity
 penalties, ball projections for constrained variants, and a diagnostics layer
 that certifies candidate solutions from all three viewpoints.
@@ -64,10 +64,12 @@ from .estimating import (
     monotonicity_probe,
 )
 from .solvers import (
+    DEFAULT_METHOD,
     PathEntry,
     SOLVER_NAMES,
     lambda_max,
     run_solver,
+    solve_aa,
     solve_constrained,
     solve_gra_adaptive,
     solve_gra_fixed,

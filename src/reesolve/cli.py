@@ -59,7 +59,13 @@ from .model import (
     ValidationError,
     as_coefficients,
 )
-from .solvers import SOLVER_NAMES, lambda_max, run_solver, solve_path
+from .solvers import (
+    DEFAULT_METHOD,
+    SOLVER_NAMES,
+    lambda_max,
+    run_solver,
+    solve_path,
+)
 
 SCHEMA_VERSION = 1
 
@@ -665,7 +671,7 @@ def _add_problem_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
     g = sub.add_argument_group("solver configuration")
-    g.add_argument("--tau", type=float, help="picard/km/gra-fixed step")
+    g.add_argument("--tau", type=float, help="picard/km/aa/gra-fixed step")
     g.add_argument("--rho", type=float)
     g.add_argument("--t-bar", dest="t_bar", type=float)
     g.add_argument("--psi", type=float)
@@ -687,7 +693,7 @@ def _add_solve_args(sub: argparse.ArgumentParser) -> None:
     _add_problem_args(sub)
     _add_config_args(sub)
     _add_probe_args(sub)
-    sub.add_argument("--method", default="picard", choices=METHOD_CHOICES)
+    sub.add_argument("--method", default=DEFAULT_METHOD, choices=METHOD_CHOICES)
     sub.add_argument("--init", help="initial point CSV (default: zeros)")
 
 

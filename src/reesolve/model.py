@@ -363,8 +363,8 @@ def validate_problem(problem: EstimatingProblem) -> EstimatingProblem:
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    tau            fixed step of picard, km and gra-fixed. None means the
-                   largest admissible value from U's Lipschitz bound L:
+    tau            fixed step of picard, km, aa and gra-fixed. None means
+                   the largest admissible value from U's Lipschitz bound L:
                    1/L, or phi/(2L) for gra-fixed
     rho            averaging weight in (0, 1) for the averaged iteration
     t_bar          stepsize cap for the adaptive golden-ratio solver

@@ -1,6 +1,6 @@
 """Iterative solvers for penalized estimating equations.
 
-Five interchangeable methods over the same problem bundle:
+Six interchangeable methods over the same problem bundle:
 
 * ``solve_picard``  — plain fixed-point iteration of
   ``f(beta) = prox_{tau*lam*Omega}(beta - tau*U(beta))``; geometric
@@ -8,6 +8,10 @@ Five interchangeable methods over the same problem bundle:
 * ``solve_km``      — averaged (Krasnosel'skii–Mann) iteration
   ``beta <- (1-rho)*beta + rho*f(beta)``; converges for merely nonexpansive
   f with a nonempty fixed-point set.
+* ``solve_aa``      — safeguarded type-II Anderson acceleration of the same
+  fixed-point map, the default method (``DEFAULT_METHOD``): it extrapolates
+  from the last few residuals and falls back to a plain step whenever the
+  residual does not drop.
 * ``solve_gra_fixed`` / ``solve_gra_adaptive`` — golden-ratio anchored
   schemes solving the equivalent variational inequality; the fixed-step
   variant needs a Lipschitz constant, the adaptive one estimates local
@@ -52,6 +56,7 @@ from .penalties import _prox, lqa_weight_diag, project_ball, prox
 __all__ = [
     "solve_picard",
     "solve_km",
+    "solve_aa",
     "solve_gra_fixed",
     "solve_gra_adaptive",
     "solve_lqa_newton",
@@ -61,9 +66,15 @@ __all__ = [
     "lambda_max",
     "PathEntry",
     "SOLVER_NAMES",
+    "DEFAULT_METHOD",
 ]
 
 DIVERGENCE_RESIDUAL = 1e12
+# Anderson window: the number of residual differences an extrapolation fits
+AA_MEMORY = 5
+# an extrapolated point is kept only when its residual is at most this
+# fraction of the last accepted point's
+AA_ACCEPT = 0.99
 
 
 def lambda_max(u: EstimatingFunction) -> float:
@@ -84,7 +95,7 @@ def _lipschitz(problem: EstimatingProblem) -> float:
     if L is None or not (0.0 < L < math.inf):
         raise ValidationError(
             f"U has no positive finite Lipschitz bound (got {L}); set "
-            f"config.tau (picard, km), declare U's Lipschitz constant, or "
+            f"config.tau (picard, km, aa), declare U's Lipschitz constant, or "
             f"use gra-adaptive")
     return L
 
@@ -125,7 +136,8 @@ class _Run:
 def _first_order_loop(method: str, problem: EstimatingProblem,
                       config: SolverConfig, init, make_steps,
                       final_prox_image: bool = False) -> SolverReport:
-    """The iteration loop shared by picard, km and both golden-ratio solvers.
+    """The iteration loop shared by picard, km, aa and both golden-ratio
+    solvers.
 
     ``make_steps(beta, u)`` builds the method's step generator from the
     starting point ``beta``, the vector ``init``, and ``u = U(beta)``, the
@@ -198,9 +210,14 @@ def _averaged_steps(beta: np.ndarray, tau: float, mix: float):
         beta = (1.0 - mix) * beta + mix * fb
 
 
+def _fixed_tau(problem: EstimatingProblem, config: SolverConfig) -> float:
+    """The fixed step of picard, km and aa: ``config.tau``, else ``1/L``."""
+    return config.tau if config.tau is not None else 1.0 / _lipschitz(problem)
+
+
 def _averaged_iteration(problem: EstimatingProblem, config: SolverConfig,
                         init, mix: float, method: str) -> SolverReport:
-    tau = config.tau if config.tau is not None else 1.0 / _lipschitz(problem)
+    tau = _fixed_tau(problem, config)
     return _first_order_loop(method, problem, config, init,
                              lambda b, u: _averaged_steps(b, tau, mix),
                              final_prox_image=mix < 1.0)
@@ -228,6 +245,88 @@ def solve_km(problem: EstimatingProblem, config: SolverConfig,
     :func:`reesolve.diagnostics.rate_envelope_check`.
     """
     return _averaged_iteration(problem, config, init, config.rho, "km")
+
+
+def _anderson_point(dF: np.ndarray, dG: np.ndarray, f_base: np.ndarray,
+                    g_base: np.ndarray) -> Optional[np.ndarray]:
+    """The type-II Anderson point ``f_base - dF.T @ gamma``, where gamma
+    solves the Gram system ``(dG @ dG.T) gamma = dG @ g_base``; None when
+    that system is singular or the point is not finite.
+
+    The rows of ``dG`` and ``dF`` are differences of the residual
+    ``g = f(beta) - beta`` and of ``f(beta)`` (that is ``dX + dG``) between
+    consecutive accepted points. Their order does not matter.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            gamma = np.linalg.solve(dG @ dG.T, dG @ g_base)
+        except np.linalg.LinAlgError:
+            return None
+        point = f_base - gamma @ dF
+    return point if np.isfinite(point).all() else None
+
+
+def _anderson_steps(beta: np.ndarray, tau: float):
+    """Safeguarded type-II Anderson steps on ``f`` with a fixed stepsize.
+
+    The last accepted point, the base, carries ``f(base)`` and its residual
+    ``g = f(base) - base``. From it the next point is the extrapolation of
+    :func:`_anderson_point` over the window of the last ``AA_MEMORY``
+    differences, or the plain step ``f(base)`` when the window is empty or
+    the extrapolation fails. A plain step is always accepted; an
+    extrapolated point only when its residual is at most ``AA_ACCEPT``
+    times the base's. A failed or rejected extrapolation empties the
+    window, and after a rejection the next point is ``f(base)``, already
+    known. Every point, rejected ones included, is yielded once, so each
+    costs one U evaluation and one trace record.
+    """
+    dF = np.empty((AA_MEMORY, beta.size))
+    dG = np.empty_like(dF)
+    n = 0  # differences stored since the window was last emptied
+    _, f_base = yield beta, tau, None
+    g_base = f_base - beta
+    r_base = _norm(g_base)
+    while True:
+        point = None
+        if n:
+            k = min(n, AA_MEMORY)
+            point = _anderson_point(dF[:k], dG[:k], f_base, g_base)
+        plain = point is None
+        if plain:
+            n, point = 0, f_base
+        _, fb = yield point, tau, None
+        g = fb - point
+        r = _norm(g)
+        if not plain and r > AA_ACCEPT * r_base:
+            n = 0
+            continue
+        dF[n % AA_MEMORY] = fb - f_base
+        dG[n % AA_MEMORY] = g - g_base
+        n += 1
+        f_base, g_base, r_base = fb, g, r
+
+
+def solve_aa(problem: EstimatingProblem, config: SolverConfig,
+             init) -> SolverReport:
+    """Anderson-accelerated fixed-point iteration on
+    ``f(beta) = prox_{tau*lam*Omega}(beta - tau*U(beta))``.
+
+    Every solution of ``0 in U(beta) + lam*dOmega(beta)`` is a fixed point
+    of f for any U, so the accelerator needs no gradient structure. tau is
+    picard's: ``config.tau``, else ``1/L``. The steps are safeguarded type-II
+    Anderson (Walker & Ni 2011, with the safeguard of Zhang, O'Donoghue &
+    Boyd 2020); see :func:`_anderson_steps`. A rejected point is one U
+    evaluation and one trace record like any other, so ``iterations``
+    compares across methods as it stands. As km does, a converged run
+    returns the final prox image when its residual also meets the
+    tolerance, so zero coordinates are exact. An extrapolated point is an
+    affine, not a convex, combination of prox images, so on a ball a run
+    cut short by ``max_iter`` may end outside it.
+    """
+    tau = _fixed_tau(problem, config)
+    return _first_order_loop("aa", problem, config, init,
+                             lambda b, u: _anderson_steps(b, tau),
+                             final_prox_image=True)
 
 
 def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
@@ -426,15 +525,18 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
 _SOLVERS = {
     "picard": solve_picard,
     "km": solve_km,
+    "aa": solve_aa,
     "gra-fixed": solve_gra_fixed,
     "gra-adaptive": solve_gra_adaptive,
     "lqa-newton": solve_lqa_newton,
 }
 SOLVER_NAMES = tuple(_SOLVERS)
+# the method of solve_path, solve_constrained and the CLI's solve and path
+DEFAULT_METHOD = "aa"
 
 
 def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
-                      init, method: str = "picard") -> SolverReport:
+                      init, method: str = DEFAULT_METHOD) -> SolverReport:
     """Solve a ball-constrained estimating equation by projected iterations.
 
     The penalty must be a :class:`BallIndicator`. Its prox is the Euclidean
@@ -451,13 +553,15 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
                method: str) -> SolverReport:
     """Dispatch one solve by method name.
 
-    Accepts ``picard``, ``km``, ``gra-fixed``, ``gra-adaptive`` and
-    ``lqa-newton`` (alias ``lqa``). For a ball-indicator penalty the
-    starting point is projected onto the ball first, which keeps the
-    averaged km iterates feasible even when a run stops at ``max_iter``.
+    Accepts ``picard``, ``km``, ``aa``, ``gra-fixed``, ``gra-adaptive`` and
+    ``lqa-newton`` (alias ``lqa``); ``DEFAULT_METHOD``, ``aa``, is the
+    default of :func:`solve_path`, :func:`solve_constrained` and the CLI.
+    For a ball-indicator penalty the starting point is projected onto the
+    ball first, which keeps the averaged km iterates feasible even when a
+    run stops at ``max_iter``.
     Every solver has the signature ``solve(problem, config, init)``.
-    ``config.tau`` steps picard, km and gra-fixed; unset, it is derived from
-    U's Lipschitz bound L (``1/L``, or ``phi/(2L)`` for gra-fixed).
+    ``config.tau`` steps picard, km, aa and gra-fixed; unset, it is derived
+    from U's Lipschitz bound L (``1/L``, or ``phi/(2L)`` for gra-fixed).
     """
     name = method.lower()
     if name == "lqa":
@@ -574,9 +678,10 @@ def _merged_report(rounds, status: SolverStatus, beta: np.ndarray,
 
 
 def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
-               config: SolverConfig, method: str = "picard", init=None,
+               config: SolverConfig, method: str = DEFAULT_METHOD, init=None,
                warm_start: bool = True) -> list[PathEntry]:
-    """Solve over a strictly decreasing lambda grid with :func:`run_solver`.
+    """Solve over a strictly decreasing lambda grid with :func:`run_solver`,
+    by default with ``aa`` (``DEFAULT_METHOD``).
 
     Warm starting (default) initializes each solve at the previous lambda's
     solution; cold starting reuses ``init`` for every lambda. A lambda that

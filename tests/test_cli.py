@@ -246,7 +246,7 @@ _ROUND_TRIP_PENALTIES = {
 }
 
 
-@pytest.mark.parametrize("method", ["picard", "km", "gra-fixed",
+@pytest.mark.parametrize("method", ["picard", "km", "aa", "gra-fixed",
                                     "gra-adaptive"])
 @pytest.mark.parametrize("penalty", list(_ROUND_TRIP_PENALTIES))
 def test_solve_then_check_passes_at_default_settings(tmp_path, capsys,
@@ -266,8 +266,10 @@ def test_check_default_kkt_tol_still_rejects(tmp_path, capsys):
     files, lam = _unscaled_files(tmp_path)
     problem = ["--penalty", "lasso"] + files
     out = tmp_path / "report.json"
-    assert main(["solve", "--lambda", str(lam), "--out", str(out)]
-                + problem) == 0
+    # picard's solution misses its KKT conditions by about tol / tau, which
+    # the explicit tight --kkt-tol below must catch
+    assert main(["solve", "--method", "picard", "--lambda", str(lam),
+                 "--out", str(out)] + problem) == 0
     # an explicit tolerance still wins over the derived one
     assert main(["check", "--report", str(out), "--kkt-tol", "1e-8"]
                 + problem) == 1
@@ -605,7 +607,8 @@ def _l1_ball_report(tmp_path, scale):
                "--design", str(tmp_path / "X.csv"),
                "--response", str(tmp_path / "y.csv")]
     out = tmp_path / "report.json"
-    assert main(["solve", "--out", str(out)] + problem) == 0
+    assert main(["solve", "--method", "picard", "--out", str(out)]
+                + problem) == 0
     return out, problem
 
 
@@ -754,7 +757,9 @@ def test_solve_divergent_exits_1(tmp_path, capsys):
     np.savetxt(tmp_path / "b.csv", np.zeros(2), delimiter=",")
     init = tmp_path / "init.csv"
     np.savetxt(init, np.ones(2), delimiter=",")
-    code = main(["solve", "--matrix", str(tmp_path / "A.csv"),
+    # picard doubles beta every step; aa extrapolates to the root 0
+    code = main(["solve", "--method", "picard",
+                 "--matrix", str(tmp_path / "A.csv"),
                  "--offset", str(tmp_path / "b.csv"),
                  "--penalty", "lasso", "--lambda", "0.0",
                  "--tau", "1.0", "--init", str(init),

@@ -35,9 +35,11 @@ from reesolve import (
     fixed_point_residual,
     kkt_residual,
     lambda_max,
+    lipschitz_upper_bound,
     oracle_lasso_cd,
     project_ball,
     run_solver,
+    solve_aa,
     solve_constrained,
     solve_gra_adaptive,
     solve_gra_fixed,
@@ -47,6 +49,7 @@ from reesolve import (
     solve_picard,
     vi_probe,
 )
+from reesolve.solvers import _anderson_steps
 
 
 def affine_problem(c, tau=0.5):
@@ -152,6 +155,98 @@ class TestKm:
         assert rep.converged
         dists = np.linalg.norm(rep.iterates - rep.solution, axis=1)
         assert np.all(np.diff(dists) <= 1e-10)
+
+
+class TestAa:
+    def test_solution_is_exactly_sparse(self):
+        # on this instance the last extrapolated point keeps a coordinate
+        # at -3e-18 where the solution is 0
+        X, y, u, lam, prob = lasso_ls_instance(seed=36)
+        cfg = SolverConfig(tol=1e-9, max_iter=100000)
+        rep = solve_aa(prob, cfg, np.zeros(10))
+        assert rep.converged
+        # the returned point is a prox image: zero coords are exact zeros
+        oracle = oracle_lasso_cd(X, y, lam, tol=1e-15)
+        np.testing.assert_array_equal(rep.solution == 0.0, oracle == 0.0)
+        assert kkt_residual(prob, rep.solution).max_residual <= 1e-8
+        assert rep.iterations < solve_picard(prob, cfg, np.zeros(10)).iterations
+        assert rep.iterations < solve_picard(prob, cfg, np.zeros(10)).iterations
+
+    def test_a_rejected_point_costs_one_u_evaluation(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=3)
+        calls = []
+
+        def counted(b):
+            calls.append(1)
+            return u(b)
+
+        cfg = SolverConfig(tol=1e-10, max_iter=100000)
+        counting = EstimatingProblem(
+            u=CustomEstimating(u.dim, counted,
+                               lipschitz=lipschitz_upper_bound(u)),
+            penalty=prob.penalty, lam=lam)
+        rep = solve_aa(counting, cfg, np.zeros(10))
+        assert rep.converged
+        # a residual that rises marks a rejected point: an accepted one
+        # lowers it, and a plain step of this nonexpansive f does not
+        # raise it above the base's
+        r = [rec.fp_residual for rec in rep.trace]
+        assert any(b > a for a, b in zip(r, r[1:]))
+        # one call at the start and one per loop point; the final prox
+        # image costs one more and is itself the last record
+        assert len(calls) == 1 + (rep.iterations - 1) + 1
+        ref = solve_aa(prob, cfg, np.zeros(10))
+        assert rep.trace == ref.trace
+        assert np.array_equal(rep.iterates, ref.iterates)
+
+    @pytest.mark.parametrize("failure", ["singular", "non-finite"])
+    def test_failed_extrapolation_takes_a_plain_step_and_resets(
+            self, monkeypatch, failure):
+        # drive the steps by hand on f(x) = 4 + x/2, fixed point 8, with the
+        # first Gram solve failing
+        solve, calls = np.linalg.solve, []
+
+        def first_fails(a, b):
+            calls.append(1)
+            if len(calls) > 1:
+                return solve(a, b)
+            if failure == "singular":
+                return solve(np.zeros_like(a), b)  # raises LinAlgError
+            return np.full(b.shape, 1e308)  # the point overflows to -inf
+
+        monkeypatch.setattr(np.linalg, "solve", first_fails)
+        steps = _anderson_steps(np.zeros(1), 1.0)
+        points = [next(steps)[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                points.append(steps.send((None, 4.0 + points[-1] / 2))[0])
+        # 0 -> 4 is a plain step; the failed extrapolation from 4 falls back
+        # to f(4) = 6 and empties the window, so the next extrapolation
+        # fits the one fresh difference and lands on the fixed point (two
+        # stored differences would be collinear and give f(6) = 7)
+        assert [float(x[0]) for x in points] == [0.0, 4.0, 6.0, 8.0]
+        assert len(calls) == 2
+
+    def test_rejected_point_falls_back_to_its_base_and_resets(self):
+        # f(x) = 1 + x/2, except that the first extrapolated point, 2, reads
+        # f = 3: its residual 1 exceeds 0.99 times its base's, 0.5 at x = 1
+        steps = _anderson_steps(np.zeros(1), 1.0)
+        points = [next(steps)[0]]
+        for fx in (1.0, 1.5, 3.0, 1.75):
+            points.append(steps.send((None, np.array([fx])))[0])
+        # the next point is f(1) = 1.5, and the fresh window's one
+        # difference extrapolates to the fixed point
+        assert [float(x[0]) for x in points] == [0.0, 1.0, 2.0, 1.5, 2.0]
+
+    def test_rotation_aa_converges_where_picard_orbits(self):
+        # U is not a gradient; f is a plane rotation about the fixed point
+        u, fixed_pt = rotation_instance()
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.0)
+        rep = solve_aa(prob, SolverConfig(tau=1.0, tol=1e-9, max_iter=10000),
+                       fixed_pt + np.array([1.0, 0.0]))
+        assert rep.converged
+        np.testing.assert_allclose(rep.solution, fixed_pt, atol=1e-8)
 
 
 class TestGraFixed:
@@ -351,11 +446,12 @@ class TestAnchoredRecursionsExact:
             assert rep.trace[k].theta == theta_prev
 
 
-FIRST_ORDER = ("picard", "km", "gra-fixed", "gra-adaptive")
+FIRST_ORDER = ("picard", "km", "aa", "gra-fixed", "gra-adaptive")
 # method name -> the solver run_solver must reach, called directly
 DIRECT = {
     "picard": solve_picard,
     "km": solve_km,
+    "aa": solve_aa,
     "gra-fixed": solve_gra_fixed,
     "gra-adaptive": solve_gra_adaptive,
     "lqa-newton": solve_lqa_newton,
@@ -801,7 +897,7 @@ class TestScreenedPath:
     @settings(max_examples=60, deadline=None)
     @given(u_kind=st.sampled_from(["least-squares", "logistic", "linear"]),
            pen_kind=st.sampled_from(["lasso", "elastic-net"]),
-           method=st.sampled_from(["picard", "km", "gra-fixed",
+           method=st.sampled_from(["picard", "km", "aa", "gra-fixed",
                                    "gra-adaptive"]),
            seed=st.integers(0, 2**31), points=st.sampled_from([4, 7, 12]),
            floor=st.sampled_from([0.02, 0.1]))
