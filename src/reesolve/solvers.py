@@ -135,7 +135,8 @@ class _Run:
 
 def _first_order_loop(method: str, problem: EstimatingProblem,
                       config: SolverConfig, init, make_steps,
-                      final_prox_image: bool = False) -> SolverReport:
+                      final_prox_image: bool = False,
+                      cut_short_prox_image: bool = False) -> SolverReport:
     """The iteration loop shared by picard, km, aa and both golden-ratio
     solvers.
 
@@ -152,6 +153,12 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
     divergence guard, the trace and recordings, the tolerance test and
     ``max_iter``. A non-finite value anywhere in an iteration ends the run
     as diverged, reporting the last point the method produced.
+
+    With ``final_prox_image`` a converged run returns the prox image of its
+    last point when that image's residual also meets the tolerance; with
+    ``cut_short_prox_image`` a run stopped by ``max_iter`` returns that
+    image whatever its residual. Either costs one more U evaluation and
+    trace record.
 
     Inputs are checked once: the start point goes through the public
     :func:`evaluate` and :func:`prox`, which check shapes and finiteness.
@@ -187,17 +194,23 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
                 break
     except NonFiniteOutputError:
         status = SolverStatus.DIVERGED
-    if status is SolverStatus.CONVERGED and final_prox_image:
-        # averaged iterates never hit the prox manifold exactly, so zero
-        # coordinates stay dirty; take the final prox image when its own
-        # residual also meets the tolerance (one plain fixed-point step)
+    cut_short = (cut_short_prox_image
+                 and status is SolverStatus.MAX_ITER_REACHED)
+    if (final_prox_image and status is SolverStatus.CONVERGED) or cut_short:
+        # averaged and extrapolated iterates never hit the prox manifold
+        # exactly, so zero coordinates stay dirty, and an extrapolation can
+        # leave a ball; take the final prox image (one plain fixed-point
+        # step) when its own residual also meets the tolerance, or always
+        # when the run was cut short
         try:
             f_next = prox(problem.penalty, fb - t * evaluate(problem.u, fb),
                           t * problem.lam)
             r_next = _norm(f_next - fb)
-            if r_next <= config.tol:
+            if r_next <= config.tol or cut_short:
                 run.record(r_next, t, fb)
                 beta = fb
+                if r_next <= config.tol:
+                    status = SolverStatus.CONVERGED
         except NonFiniteOutputError:
             pass
     return run.report(status, beta, r0, t)
@@ -320,13 +333,14 @@ def solve_aa(problem: EstimatingProblem, config: SolverConfig,
     compares across methods as it stands. As km does, a converged run
     returns the final prox image when its residual also meets the
     tolerance, so zero coordinates are exact. An extrapolated point is an
-    affine, not a convex, combination of prox images, so on a ball a run
-    cut short by ``max_iter`` may end outside it.
+    affine, not a convex, combination of prox images and can lie outside a
+    ball, so a run cut short by ``max_iter`` returns the final prox image
+    too, which is inside, at the cost of one more iteration.
     """
     tau = _fixed_tau(problem, config)
     return _first_order_loop("aa", problem, config, init,
                              lambda b, u: _anderson_steps(b, tau),
-                             final_prox_image=True)
+                             final_prox_image=True, cut_short_prox_image=True)
 
 
 def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
@@ -531,12 +545,12 @@ _SOLVERS = {
     "lqa-newton": solve_lqa_newton,
 }
 SOLVER_NAMES = tuple(_SOLVERS)
-# the method of solve_path, solve_constrained and the CLI's solve and path
+# the method of solve_path and the CLI's solve and path
 DEFAULT_METHOD = "aa"
 
 
 def solve_constrained(problem: EstimatingProblem, config: SolverConfig,
-                      init, method: str = DEFAULT_METHOD) -> SolverReport:
+                      init, method: str = "picard") -> SolverReport:
     """Solve a ball-constrained estimating equation by projected iterations.
 
     The penalty must be a :class:`BallIndicator`. Its prox is the Euclidean
@@ -555,7 +569,7 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
 
     Accepts ``picard``, ``km``, ``aa``, ``gra-fixed``, ``gra-adaptive`` and
     ``lqa-newton`` (alias ``lqa``); ``DEFAULT_METHOD``, ``aa``, is the
-    default of :func:`solve_path`, :func:`solve_constrained` and the CLI.
+    default of :func:`solve_path` and the CLI.
     For a ball-indicator penalty the starting point is projected onto the
     ball first, which keeps the averaged km iterates feasible even when a
     run stops at ``max_iter``.

@@ -170,7 +170,6 @@ class TestAa:
         np.testing.assert_array_equal(rep.solution == 0.0, oracle == 0.0)
         assert kkt_residual(prob, rep.solution).max_residual <= 1e-8
         assert rep.iterations < solve_picard(prob, cfg, np.zeros(10)).iterations
-        assert rep.iterations < solve_picard(prob, cfg, np.zeros(10)).iterations
 
     def test_a_rejected_point_costs_one_u_evaluation(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=3)
@@ -731,6 +730,25 @@ class TestConstrained:
                          10.0 * np.ones(4), "km")
         assert rep.status is SolverStatus.MAX_ITER_REACHED
         assert np.abs(rep.solution).sum() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("max_iter", [2, 3, 4])
+    def test_aa_cut_short_stays_feasible(self, max_iter):
+        # extrapolated points are affine combinations of projections, and
+        # here the second to fourth leave the ball; a run stopped at
+        # max_iter returns the projection of its last point, one iteration
+        # later
+        rng = np.random.default_rng(2)
+        u = LeastSquaresEstimating(rng.standard_normal((20, 6)),
+                                   rng.standard_normal(20))
+        prob = EstimatingProblem(
+            u=u, penalty=BallIndicator(BallConstraint("l1", 0.3)), lam=0.0)
+        rep = run_solver(prob, SolverConfig(tol=1e-14, max_iter=max_iter),
+                         10.0 * np.ones(6), "aa")
+        assert rep.status is SolverStatus.MAX_ITER_REACHED
+        assert rep.iterations == max_iter + 1
+        assert np.abs(rep.solution).sum() <= 0.3 + 1e-12
+        assert rep.trace[-1].fp_residual == pytest.approx(
+            fixed_point_residual(prob, rep.solution, rep.stepsize), abs=1e-15)
 
     @pytest.mark.parametrize("method", FIRST_ORDER)
     def test_start_outside_the_set_is_projected(self, method):
