@@ -124,6 +124,16 @@ def _groups_to_internal(groups: list[list[int]]) -> list[list[int]]:
     return [[i - 1 for i in g] for g in groups]
 
 
+def _number(block: dict, key: str, default=None):
+    """``block[key]``, or ``default`` when absent, refusing a JSON boolean:
+    float() and int() would read true as 1."""
+    value = block.get(key, default)
+    if isinstance(value, bool):
+        raise ValidationError(
+            f"'{key}' must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _penalty_from_doc(doc: dict) -> PenaltySpec:
     kind = doc.get("kind")
     if kind is None:
@@ -134,7 +144,7 @@ def _penalty_from_doc(doc: dict) -> PenaltySpec:
     if kind == "lasso":
         return Lasso()
     if kind == "elastic_net":
-        return ElasticNet(ratio=float(doc.get("ratio", 1.0)))
+        return ElasticNet(ratio=float(_number(doc, "ratio", 1.0)))
     if kind in ("group_lasso", "sparse_group_lasso"):
         if "groups" not in doc:
             raise ValidationError(f"penalty '{kind}' needs a 'groups' field")
@@ -142,7 +152,7 @@ def _penalty_from_doc(doc: dict) -> PenaltySpec:
                               weights=doc.get("weights"))
         if kind == "group_lasso":
             return GroupLasso(part)
-        return SparseGroupLasso(part, alpha=float(doc.get("alpha", 0.5)))
+        return SparseGroupLasso(part, alpha=float(_number(doc, "alpha", 0.5)))
     if kind == "ball":
         norm = str(doc.get("norm", "l2"))
         if norm == "box":
@@ -150,18 +160,17 @@ def _penalty_from_doc(doc: dict) -> PenaltySpec:
                                   lower=np.asarray(doc["lower"], dtype=float),
                                   upper=np.asarray(doc["upper"], dtype=float))
         else:
-            ball = BallConstraint(norm=norm, radius=float(doc.get("radius", 1.0)))
+            ball = BallConstraint(norm=norm,
+                                  radius=float(_number(doc, "radius", 1.0)))
         return BallIndicator(ball)
     if kind == "scad":
-        return Scad(a=float(doc.get("a", 3.7)))
+        return Scad(a=float(_number(doc, "a", 3.7)))
     raise ValidationError(f"unknown penalty kind '{kind}'")
 
 
 def _estimating_from_doc(doc: dict, base: Path) -> EstimatingFunction:
     kind = str(doc.get("type", "least_squares")).replace("-", "_")
-    declared = doc.get("lipschitz")
-    if isinstance(declared, bool):  # float(True) would read it as 1.0
-        raise ValidationError(f"'lipschitz' must be a number, got {declared}")
+    declared = _number(doc, "lipschitz")
     if declared is not None:
         declared = float(declared)
     if kind in ("least_squares", "logistic"):
@@ -244,7 +253,7 @@ def _build_problem(args) -> tuple[EstimatingProblem, dict]:
         raise ValidationError("no penalty given (use --penalty or a problem file)")
     u = _estimating_from_doc(doc.get("estimating", {}), base)
     penalty = _penalty_from_doc(doc["penalty"])
-    lam = float(doc.get("lambda", 0.0))
+    lam = float(_number(doc, "lambda", 0.0))
     problem = EstimatingProblem(u=u, penalty=penalty, lam=lam)
     return problem, doc
 
@@ -256,6 +265,9 @@ def _config_from_args(args, doc: dict) -> SolverConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    for f in fields(SolverConfig):
+        if not isinstance(f.default, bool):
+            _number(values, f.name)
     if "max_iter" in values:
         max_iter = values["max_iter"]
         if isinstance(max_iter, float) and not math.isfinite(max_iter):
@@ -477,12 +489,13 @@ def cmd_check(args) -> int:
         stored = _stored_block(rep, "certificates")
         fp_stored = _stored_block(stored, "fixed_point")
         # an explicit --tau wins, as --kkt-tol does
-        tau = float(fp_stored.get("tau", 1.0) if args.tau is None else args.tau)
+        tau = float(_number(fp_stored, "tau", 1.0) if args.tau is None
+                    else args.tau)
         vi_stored = _stored_block(stored, "vi_probe")
-        samples = int(vi_stored.get("samples", args.vi_samples))
-        radius = float(vi_stored.get("radius", args.vi_radius))
-        seed = int(vi_stored.get("seed", args.seed))
-        lam = _stored_block(rep, "problem").get("lambda")
+        samples = int(_number(vi_stored, "samples", args.vi_samples))
+        radius = float(_number(vi_stored, "radius", args.vi_radius))
+        seed = int(_number(vi_stored, "seed", args.seed))
+        lam = _number(_stored_block(rep, "problem"), "lambda")
         if lam is not None and getattr(args, "lam", None) is None:
             problem = replace(problem, lam=float(lam))
     elif args.beta:

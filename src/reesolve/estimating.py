@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .model import (
     DimensionMismatchError,
@@ -183,8 +182,8 @@ class LeastSquaresEstimating(EstimatingFunction):
 class LogisticEstimating(EstimatingFunction):
     """U(beta) = -X^T (y - sigmoid(X beta)), the negative logistic score.
 
-    No Lipschitz bound is self-declared; pass ``lipschitz`` explicitly if a
-    solver needs one.
+    The sigmoid is the module's ``_sigmoid``. No Lipschitz bound is
+    self-declared; pass ``lipschitz`` explicitly if a solver needs one.
     """
 
     def __init__(self, X, y, lipschitz: Optional[float] = None):
@@ -203,10 +202,10 @@ class LogisticEstimating(EstimatingFunction):
         self.lipschitz = lipschitz
 
     def __call__(self, beta):
-        return self.X.T @ (expit(self.X @ beta) - self.y)
+        return self.X.T @ (_sigmoid(self.X @ beta) - self.y)
 
     def jacobian_at(self, beta):
-        mu = expit(self.X @ beta)
+        mu = _sigmoid(self.X @ beta)
         w = mu * (1.0 - mu)
         return self.X.T @ (w[:, None] * self.X)
 
@@ -214,6 +213,16 @@ class LogisticEstimating(EstimatingFunction):
         """The logistic score on the columns ``X[:, S]``."""
         return LogisticEstimating(self.X[:, S], self.y,
                                   lipschitz=self.lipschitz)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-z))``.
+
+    For very negative z, ``exp(-z)`` overflows to inf and the result is the
+    exact limit 0; that overflow is expected and not warned about.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def evaluate(f: EstimatingFunction, beta) -> np.ndarray:

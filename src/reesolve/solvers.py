@@ -20,9 +20,11 @@ Six interchangeable methods over the same problem bundle:
   baseline for elementwise penalties (lasso / SCAD), kept for comparison; it
   requires Jacobians and inverts a p-by-p matrix every iteration.
 
-Every solver terminates on the fixed-point residual computed with its own
-stepsize, logs one record per iteration, and reports a typed status.
-Divergence means a non-finite iterate or a residual above 1e12.
+Every first-order solver terminates on the fixed-point residual computed
+with its own stepsize; LQA terminates on the norm of its modified
+stationarity vector ``U(beta) + weights * beta``. Every solver logs one
+record per iteration and reports a typed status. Divergence means a
+non-finite iterate or a residual above 1e12.
 """
 
 from __future__ import annotations

@@ -1,7 +1,13 @@
+import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import expit
 
+import reesolve
 from reesolve import (
     CustomEstimating,
     DimensionMismatchError,
@@ -16,6 +22,7 @@ from reesolve import (
     lipschitz_upper_bound,
     monotonicity_probe,
 )
+from reesolve.estimating import _sigmoid
 
 
 class TestEvaluate:
@@ -59,7 +66,8 @@ class TestEvaluate:
     def test_u_matches_negated_design_form_bit_for_bit(self, shape):
         # U is computed as X^T (r - y) with r = X beta or sigmoid(X beta);
         # it equals the textbook -X^T (y - r) exactly, because IEEE negation
-        # and subtraction are sign-symmetric
+        # and subtraction are sign-symmetric. The sigmoid is the module's
+        # own, so this tests the assembly; its accuracy is TestSigmoid's
         rng = np.random.default_rng(shape[1])
         n, p = shape
         for _ in range(20):
@@ -70,7 +78,39 @@ class TestEvaluate:
             assert np.array_equal(ls(beta), -X.T @ (y - X @ beta))
             y01 = (rng.uniform(size=n) < 0.5).astype(float)
             lg = LogisticEstimating(X, y01)
-            assert np.array_equal(lg(beta), -X.T @ (y01 - expit(X @ beta)))
+            assert np.array_equal(lg(beta), -X.T @ (y01 - _sigmoid(X @ beta)))
+
+
+class TestSigmoid:
+    def test_within_4_ulp_of_the_libm_formula(self):
+        x = np.linspace(-700.0, 700.0, 140_001)
+        ref = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        assert np.all(np.abs(_sigmoid(x) - ref) <= 4 * np.spacing(ref))
+
+    def test_saturates_exactly_and_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sigmoid(np.array([800.0]))[0] == 1.0
+            assert _sigmoid(np.array([-800.0]))[0] == 0.0
+            X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            u = LogisticEstimating(X, np.array([0.0, 1.0, 1.0]))
+            beta = np.array([800.0, -800.0])  # X beta = (800, -800, 0)
+            assert np.all(np.isfinite(u(beta)))
+            assert np.all(np.isfinite(u.jacobian_at(beta)))
+
+
+def test_importing_the_package_loads_numpy_alone():
+    # every top-level module the import adds is the standard library's,
+    # numpy's or the package's own
+    src = Path(reesolve.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); "
+            "import reesolve, reesolve.cli; "
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names)"
+            " - {'numpy', 'reesolve'}))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestJacobian:
