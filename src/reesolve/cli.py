@@ -303,13 +303,12 @@ def _certificates(problem: EstimatingProblem, beta: np.ndarray, tau: float,
                   vi_tol: float = 1e-8) -> dict:
     """The three certificate blocks at ``beta``; the VI probe's verdict is
     taken at ``vi_tol``. A block is None where it does not apply: the
-    penalty does not support it, KKT at lambda 0, or a non-finite ``beta``
-    (a diverged run), which no certificate can value."""
+    penalty does not support it, or a non-finite ``beta`` (a diverged run),
+    which no certificate can value."""
     fp = kkt = probe = None
     if np.isfinite(beta).all():
         fp = _if_supported(fixed_point_residual, problem, beta, tau)
-        if problem.lam > 0.0:
-            kkt = _if_supported(kkt_residual, problem, beta)
+        kkt = _if_supported(kkt_residual, problem, beta)
         probe = _if_supported(vi_probe, problem, beta, samples, radius, seed,
                               vi_tol)
     return {
@@ -415,10 +414,6 @@ def cmd_path(args) -> int:
         lams = list(np.geomspace(lmax, lmax / 100.0, args.auto_grid))
     else:
         raise ValidationError("give --lambdas or --auto-grid")
-    # check every lambda and the probe settings before the first solve: an
-    # invalid one would end the command after the solves before it
-    for lam in lams:
-        replace(problem, lam=lam)
     check_probe_settings(args.vi_samples, args.vi_radius, args.seed)
     entries = solve_path(problem, lams, config, method=args.method,
                          init=init, warm_start=not args.cold)
@@ -432,15 +427,8 @@ def cmd_path(args) -> int:
         sub = replace(problem, lam=entry.lam)
         certs = _write_report(out_dir / f"report_{i:03d}.json", sub, report,
                               {**doc, "lambda": entry.lam}, args)
-        # the summary column reuses the certificate's KKT value; at lambda 0
-        # the certificates skip KKT, but the column still reports it
-        kkt = certs["kkt"]["max_residual"] if certs["kkt"] is not None else None
-        if sub.lam == 0.0:
-            try:
-                kkt = kkt_residual(sub, report.solution).max_residual
-            except ReesolveError:
-                pass
-        kkt_text = "" if kkt is None else _fmt(kkt)
+        kkt = certs["kkt"]
+        kkt_text = "" if kkt is None else _fmt(kkt["max_residual"])
         summary_rows.append(
             f"{_fmt(entry.lam)},{entry.nonzeros},{report.iterations},"
             f"{kkt_text},{report.status.value}")
@@ -538,22 +526,22 @@ def _bench_cell(cell: dict) -> dict:
     p, n, seed = cell["p"], cell["n"], cell["seed"]
     rng = np.random.default_rng([seed, p, n])
     X = rng.standard_normal((n, p))
-    k = max(1, int(round(cell.get("density", 0.1) * p)))
+    k = max(1, int(round(_number(cell, "density", 0.1) * p)))
     beta_star = np.zeros(p)
     support = rng.choice(p, size=k, replace=False)
     beta_star[support] = rng.uniform(1.0, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
-    y = X @ beta_star + cell.get("noise", 0.1) * rng.standard_normal(n)
+    y = X @ beta_star + _number(cell, "noise", 0.1) * rng.standard_normal(n)
     u = LeastSquaresEstimating(X, y)
     # group penalties use contiguous groups of 5 (1-based, as in files)
     groups = [list(range(i + 1, min(i + 6, p + 1))) for i in range(0, p, 5)]
     penalty = _penalty_from_doc({"kind": cell["penalty"], "groups": groups})
     if "lambda" in cell:
-        lam = float(cell["lambda"])
+        lam = float(_number(cell, "lambda"))
     else:
-        lam = float(cell.get("lambda_rel", 0.25)) * lambda_max(u)
-    config = SolverConfig(tol=cell.get("tol", 1e-6),
-                          max_iter=int(cell.get("max_iter", 5000)),
-                          epsilon_lqa=cell.get("epsilon_lqa", 1e-8),
+        lam = float(_number(cell, "lambda_rel", 0.25)) * lambda_max(u)
+    config = SolverConfig(tol=_number(cell, "tol", 1e-6),
+                          max_iter=int(_number(cell, "max_iter", 5000)),
+                          epsilon_lqa=_number(cell, "epsilon_lqa", 1e-8),
                           record_iterates=False)
     init = np.zeros(p)
     method = cell["solver"]
@@ -608,8 +596,8 @@ def bench_rows(manifest: dict) -> list[dict]:
             listify(manifest.get("seed", 0))):
         cell = {k: v for k, v in manifest.items()
                 if k not in ("p", "penalty", "solver", "seed", "schema_version")}
-        cell.update(p=int(p), n=int(manifest.get("n", 100)), penalty=pen,
-                    solver=solver, seed=int(seed))
+        cell.update(p=int(p), n=int(_number(manifest, "n", 100)),
+                    penalty=pen, solver=solver, seed=int(seed))
         cells.append(cell)
 
     def run_cells(pinned: bool) -> list[dict]:
@@ -634,7 +622,7 @@ def cmd_bench(args) -> int:
     if "schema_version" not in manifest:
         raise ValidationError(
             f"manifest {args.manifest} is missing 'schema_version'")
-    if int(manifest.get("repeats", 1)) < 1:
+    if int(_number(manifest, "repeats", 1)) < 1:
         raise ValidationError(
             f"manifest field 'repeats' must be >= 1, got {manifest['repeats']}")
     rows = bench_rows(manifest)

@@ -163,8 +163,8 @@ def _omega_rows(spec: PenaltySpec, Z: np.ndarray) -> np.ndarray:
         # more than the loop at vi_probe's samples x p sizes
         part = spec.partition
         grp = np.zeros(Z.shape[0])
-        for j, g in enumerate(part.groups):
-            grp += part.weight(j) * np.sqrt((Z[:, list(g)] ** 2).sum(axis=1))
+        for s, n, w in zip(part.starts, part.sizes, part.weight_array):
+            grp += w * np.sqrt((Z[:, part.order[s:s + n]] ** 2).sum(axis=1))
         if isinstance(spec, GroupLasso):
             return grp
         return (1.0 - spec.alpha) * grp + spec.alpha * np.abs(Z).sum(axis=1)

@@ -125,6 +125,8 @@ class GroupPartition:
     ``__init__`` also caches ``dimension`` and read-only index arrays, kept
     out of the fields and so out of ``==``, hash and repr: group ``j`` is
     ``order[starts[j]:starts[j] + sizes[j]]``, weighted ``weight_array[j]``.
+    Code reads groups and weights through these arrays; the fields are the
+    partition's identity.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -175,9 +177,6 @@ class GroupPartition:
 
     def __reduce__(self):  # copies and pickles rebuild the read-only arrays
         return GroupPartition, (self.groups, self.weights)
-
-    def weight(self, j: int) -> float:
-        return 1.0 if self.weights is None else self.weights[j]
 
 
 # ---------------------------------------------------------------------------

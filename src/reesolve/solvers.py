@@ -137,8 +137,7 @@ class _Run:
 
 def _first_order_loop(method: str, problem: EstimatingProblem,
                       config: SolverConfig, init, make_steps,
-                      final_prox_image: bool = False,
-                      cut_short_prox_image: bool = False) -> SolverReport:
+                      final_prox_image: bool = False) -> SolverReport:
     """The iteration loop shared by picard, km, aa and both golden-ratio
     solvers.
 
@@ -156,11 +155,12 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
     ``max_iter``. A non-finite value anywhere in an iteration ends the run
     as diverged, reporting the last point the method produced.
 
-    With ``final_prox_image`` a converged run returns the prox image of its
-    last point when that image's residual also meets the tolerance; with
-    ``cut_short_prox_image`` a run stopped by ``max_iter`` returns that
-    image whatever its residual. Either costs one more U evaluation and
-    trace record.
+    With ``final_prox_image`` a run that did not diverge ends on the prox
+    image of its last point when that image's residual meets the tolerance
+    (status converged), and always when ``max_iter`` cut it short. Averaged
+    and extrapolated points keep tiny values where the image has exact
+    zeros, and an extrapolated point can leave a ball; the image does
+    neither. It costs one more U evaluation and trace record.
 
     Inputs are checked once: the start point goes through the public
     :func:`evaluate` and :func:`prox`, which check shapes and finiteness.
@@ -196,19 +196,12 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
                 break
     except NonFiniteOutputError:
         status = SolverStatus.DIVERGED
-    cut_short = (cut_short_prox_image
-                 and status is SolverStatus.MAX_ITER_REACHED)
-    if (final_prox_image and status is SolverStatus.CONVERGED) or cut_short:
-        # averaged and extrapolated iterates never hit the prox manifold
-        # exactly, so zero coordinates stay dirty, and an extrapolation can
-        # leave a ball; take the final prox image (one plain fixed-point
-        # step) when its own residual also meets the tolerance, or always
-        # when the run was cut short
+    if final_prox_image and status is not SolverStatus.DIVERGED:
         try:
             f_next = prox(problem.penalty, fb - t * evaluate(problem.u, fb),
                           t * problem.lam)
             r_next = _norm(f_next - fb)
-            if r_next <= config.tol or cut_short:
+            if r_next <= config.tol or status is SolverStatus.MAX_ITER_REACHED:
                 run.record(r_next, t, fb)
                 beta = fb
                 if r_next <= config.tol:
@@ -257,7 +250,10 @@ def solve_km(problem: EstimatingProblem, config: SolverConfig,
     ``config.rho`` must lie in (0, 1); rho = 1/2 maximizes the worst-case
     residual-rate denominator and is the default. The trace retains every
     residual so the O(1/k) bound can be verified post hoc by
-    :func:`reesolve.diagnostics.rate_envelope_check`.
+    :func:`reesolve.diagnostics.rate_envelope_check`. An averaged point
+    keeps tiny values where its prox image has exact zeros, so the run ends
+    on that image, one more iteration, when the image's residual meets the
+    tolerance or ``max_iter`` cut the run short.
     """
     return _averaged_iteration(problem, config, init, config.rho, "km")
 
@@ -332,17 +328,15 @@ def solve_aa(problem: EstimatingProblem, config: SolverConfig,
     Anderson (Walker & Ni 2011, with the safeguard of Zhang, O'Donoghue &
     Boyd 2020); see :func:`_anderson_steps`. A rejected point is one U
     evaluation and one trace record like any other, so ``iterations``
-    compares across methods as it stands. As km does, a converged run
-    returns the final prox image when its residual also meets the
-    tolerance, so zero coordinates are exact. An extrapolated point is an
-    affine, not a convex, combination of prox images and can lie outside a
-    ball, so a run cut short by ``max_iter`` returns the final prox image
-    too, which is inside, at the cost of one more iteration.
+    compares across methods as it stands. The run ends as km's does, on the
+    final prox image, so zero coordinates are exact, and a run cut short by
+    ``max_iter`` ends inside a ball, although an extrapolated point is an
+    affine, not a convex, combination of prox images and can lie outside.
     """
     tau = _fixed_tau(problem, config)
     return _first_order_loop("aa", problem, config, init,
                              lambda b, u: _anderson_steps(b, tau),
-                             final_prox_image=True, cut_short_prox_image=True)
+                             final_prox_image=True)
 
 
 def _golden_ratio_steps(problem: EstimatingProblem, psi: float,
@@ -505,9 +499,14 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
     status = SolverStatus.MAX_ITER_REACHED
     diag_idx = slice(0, p * p, p + 1)
     for _ in range(config.max_iter):
-        # analytic when U has one, else finite differences on opt-in;
-        # copied, because U may hand out a cached matrix
-        M = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian).copy()
+        # analytic when U has one, else finite differences on opt-in, whose
+        # probe points can meet a non-finite U; copied, because U may hand
+        # out a cached matrix
+        try:
+            M = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian).copy()
+        except NonFiniteOutputError:
+            status = SolverStatus.DIVERGED
+            break
         M.flat[diag_idx] += w
         try:
             # the update is written with an explicit inverse; forming it is
@@ -573,8 +572,10 @@ def run_solver(problem: EstimatingProblem, config: SolverConfig, init,
     ``lqa-newton`` (alias ``lqa``); ``DEFAULT_METHOD``, ``aa``, is the
     default of :func:`solve_path` and the CLI.
     For a ball-indicator penalty the starting point is projected onto the
-    ball first, which keeps the averaged km iterates feasible even when a
-    run stops at ``max_iter``.
+    ball first. km's averaged points are convex combinations of the start
+    and projections, so they stay feasible, and a converged km run whose
+    final prox image misses the tolerance returns one of them; U is first
+    evaluated at a feasible point too.
     Every solver has the signature ``solve(problem, config, init)``.
     ``config.tau`` steps picard, km, aa and gra-fixed; unset, it is derived
     from U's Lipschitz bound L (``1/L``, or ``phi/(2L)`` for gra-fixed).
@@ -611,10 +612,6 @@ def _screenable(problem: EstimatingProblem) -> bool:
             and isinstance(problem.penalty, (Lasso, ElasticNet)))
 
 
-def _finite_or_none(v: np.ndarray) -> Optional[np.ndarray]:
-    return v if np.all(np.isfinite(v)) else None
-
-
 def _screened_solve(problem: EstimatingProblem, config: SolverConfig,
                     method: str, beta: np.ndarray, u_beta: np.ndarray,
                     lam_prev: float):
@@ -633,15 +630,14 @@ def _screened_solve(problem: EstimatingProblem, config: SolverConfig,
     the restricted one.
 
     The rounds together spend at most ``config.max_iter`` iterations.
-    Returns the merged report and ``U`` at its solution (None unless the
-    run converged with a finite U there).
+    Returns the merged report.
     """
     lam, p = problem.lam, problem.u.dim
     stats = np.abs(u_beta)
     keep = (stats >= 2.0 * lam - lam_prev) | (beta != 0.0)
     keep[np.argmax(stats)] = True
     rounds: list[tuple[np.ndarray, SolverReport]] = []
-    spent, u_sol = 0, None
+    spent = 0
     while True:
         S = np.flatnonzero(keep)
         # a set that keeps every coordinate is the full problem
@@ -657,18 +653,18 @@ def _screened_solve(problem: EstimatingProblem, config: SolverConfig,
         status = rep.status
         if status is not SolverStatus.CONVERGED:
             break
-        u_sol = _finite_or_none(problem.u(beta))
-        if u_sol is None:
+        u_sol = problem.u(beta)
+        if not np.all(np.isfinite(u_sol)):
             status = SolverStatus.DIVERGED
             break
         violated = ~keep & (np.abs(u_sol) > lam)
         if not violated.any():
             break
         if spent >= config.max_iter:
-            status, u_sol = SolverStatus.MAX_ITER_REACHED, None
+            status = SolverStatus.MAX_ITER_REACHED
             break
         keep |= violated
-    return _merged_report(rounds, status, beta, config, p), u_sol
+    return _merged_report(rounds, status, beta, config, p)
 
 
 def _merged_report(rounds, status: SolverStatus, beta: np.ndarray,
@@ -699,10 +695,12 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     """Solve over a strictly decreasing lambda grid with :func:`run_solver`,
     by default with ``aa`` (``DEFAULT_METHOD``).
 
-    Warm starting (default) initializes each solve at the previous lambda's
-    solution; cold starting reuses ``init`` for every lambda. A lambda that
-    makes an invalid problem, or whose solve raises, is recorded with a
-    numerical-failure report and the sweep continues.
+    Every lambda's problem is built, and so validated, before the first
+    solve: an empty, non-decreasing or invalid grid raises
+    :class:`ValidationError` and nothing is solved. Warm starting (default)
+    initializes each solve at the previous lambda's solution; cold starting
+    reuses ``init`` for every lambda. A lambda whose solve raises is
+    recorded with a numerical-failure report and the sweep continues.
 
     Warm paths are screened after the first lambda when U offers
     ``restrict`` (the built-in linear, least-squares and logistic U) and the
@@ -723,6 +721,7 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
         raise ValidationError("lambda grid is empty")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ValidationError("lambda grid must be strictly decreasing")
+    subs = [replace(problem, lam=lam) for lam in lams]
     p = problem.u.dim
     start = (np.zeros(p) if init is None
              else as_coefficients(init, p).copy())
@@ -730,13 +729,11 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     screen = warm_start and _screenable(problem)
     u_current = None  # U(current) while screening, None when unusable
     entries: list[PathEntry] = []
-    for i, lam in enumerate(lams):
-        u_sol = None
+    for i, sub in enumerate(subs):
         try:
-            sub = replace(problem, lam=lam)
             if u_current is not None:
-                report, u_sol = _screened_solve(sub, config, method, current,
-                                                u_current, lams[i - 1])
+                report = _screened_solve(sub, config, method, current,
+                                         u_current, lams[i - 1])
             else:
                 report = run_solver(sub, config, current, method)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -745,12 +742,12 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
                 solution=current.copy(), trace=[],
                 initial_residual=math.inf, config=config,
                 flags=(f"error:{type(exc).__name__}",))
-        entries.append(PathEntry(lam, report))
+        entries.append(PathEntry(sub.lam, report))
         if warm_start and np.all(np.isfinite(report.solution)):
             current = report.solution.copy()
             if screen:
-                u_current = (u_sol if u_sol is not None
-                             else _finite_or_none(problem.u(current)))
+                u = problem.u(current)
+                u_current = u if np.all(np.isfinite(u)) else None
         elif not warm_start:
             current = start.copy()
     return entries

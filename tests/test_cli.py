@@ -386,7 +386,7 @@ def test_check_perturbed_beta_exits_1(lasso_files, capsys):
 
 
 def test_check_unpenalized_root(tmp_path, capsys):
-    # lam = 0: only the fixed-point and vi certificates apply
+    # lam = 0: KKT is ||U||_inf, certified beside the fixed point and the VI
     rng = np.random.default_rng(103)
     X = rng.standard_normal((30, 4))
     beta_star = rng.standard_normal(4)
@@ -401,7 +401,7 @@ def test_check_unpenalized_root(tmp_path, capsys):
                  "--tau", "0.01"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "kkt residual: not applicable" in out
+    assert "kkt residual (max):" in out
 
 
 def test_path_auto_grid_first_row_null(lasso_files):
@@ -762,8 +762,7 @@ def test_path_exits_1_when_lambdas_fail(tmp_path, capsys):
 
 
 def test_path_summary_kkt_reuses_certificates(lasso_files):
-    # the grid ends at lambda 0, where the certificates skip KKT but the
-    # summary column still reports it
+    # the grid ends at lambda 0, where KKT is ||U||_inf
     tmp, xp, yp, lam = lasso_files
     out_dir = tmp / "kkt"
     assert main(["path", "--penalty", "lasso", "--design", xp, "--response", yp,
@@ -773,11 +772,7 @@ def test_path_summary_kkt_reuses_certificates(lasso_files):
     for i, row in enumerate(rows):
         certs = json.loads(
             (out_dir / f"report_{i:03d}.json").read_text())["certificates"]
-        kkt_text = row.split(",")[3]
-        if i < 2:
-            assert float(kkt_text) == certs["kkt"]["max_residual"]
-        else:
-            assert certs["kkt"] is None and float(kkt_text) >= 0.0
+        assert float(row.split(",")[3]) == certs["kkt"]["max_residual"]
 
 
 def test_check_report_with_null_certificates(lasso_files, capsys):
@@ -958,6 +953,21 @@ def test_lqa_singular_system_prints_its_flag(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "status: numerical_failure (iterations=0)" in text
     assert "flag: singular-system\n" in text
+
+
+@pytest.mark.parametrize("key", ["lambda", "lambda_rel", "tol", "max_iter",
+                                 "epsilon_lqa", "density", "noise", "n",
+                                 "repeats"])
+def test_bench_rejects_a_boolean_scalar(tmp_path, capsys, key):
+    # float() and int() would read true as 1
+    mpath = tmp_path / "bench.json"
+    mpath.write_text(json.dumps({"schema_version": 1, "n": 20, "p": 8,
+                                 "solver": "picard", key: True}))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--manifest", str(mpath), "--out", str(out)]) == 2
+    assert (f"error: '{key}' must be a number, got true"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_bench_rejects_zero_repeats(tmp_path, capsys):

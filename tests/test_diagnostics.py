@@ -135,6 +135,58 @@ class TestKktResidual:
         with pytest.raises(UnsupportedPenaltyError):
             kkt_residual(prob, np.zeros(10))
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["lasso", "group", "sparse-group"]),
+           p=st.integers(1, 12), scale=st.floats(1e-6, 1e3),
+           tau=st.floats(1e-3, 1e2))
+    def test_kkt_at_lambda_zero_is_at_most_fixed_point_over_tau(
+            self, seed, kind, p, scale, tau):
+        # the prox at lambda 0 is the identity, so the fixed-point residual
+        # is tau*||U||_2 and KKT is ||U||_inf; the slack covers the rounding
+        # of beta - tau*U and of the two norms
+        rng = np.random.default_rng(seed)
+        u = LinearEstimating(rng.standard_normal((p, p)),
+                             rng.standard_normal(p))
+        beta = scale * rng.standard_normal(p)
+        groups = np.array_split(rng.permutation(p), rng.integers(1, p + 1))
+        part = GroupPartition(groups,
+                              weights=rng.uniform(0.1, 10.0, len(groups)))
+        penalty = {"lasso": Lasso(), "group": GroupLasso(part),
+                   "sparse-group": SparseGroupLasso(part, 0.4)}[kind]
+        prob = EstimatingProblem(u=u, penalty=penalty, lam=0.0)
+        kkt = kkt_residual(prob, beta).max_residual
+        fp = fixed_point_residual(prob, beta, tau)
+        eps = np.finfo(float).eps
+        slack = 4 * eps * (np.linalg.norm(beta) / tau
+                           + p * np.linalg.norm(u(beta)))
+        assert kkt <= fp / tau + slack
+
+
+def _loop_group_rows(part, Z):
+    """Weighted group norms of each row of Z, one group tuple at a time."""
+    weights = part.weights or (1.0,) * len(part.groups)
+    out = np.zeros(Z.shape[0])
+    for g, w in zip(part.groups, weights):
+        out += w * np.sqrt((Z[:, list(g)] ** 2).sum(axis=1))
+    return out
+
+
+class TestOmegaRows:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_group_rows_match_a_per_group_loop(self, weighted):
+        rng = np.random.default_rng(31)
+        groups = np.split(rng.permutation(23), [5, 6, 13, 16])
+        part = GroupPartition(
+            groups, weights=rng.uniform(0.5, 2.0, 5) if weighted else None)
+        Z = rng.standard_normal((40, 23))
+        grp = _loop_group_rows(part, Z)
+        assert np.array_equal(
+            diagnostics._omega_rows(GroupLasso(part), Z), grp)
+        sgl = (1.0 - 0.3) * grp + 0.3 * np.abs(Z).sum(axis=1)
+        assert np.array_equal(
+            diagnostics._omega_rows(SparseGroupLasso(part, 0.3), Z), sgl)
+
 
 class TestViProbe:
     def test_unpenalized_root_gives_exact_zeros(self):

@@ -37,7 +37,7 @@ class TestGroupPartition:
     def test_covering_disjoint_partition_valid(self):
         part = GroupPartition([[0, 1], [2]])
         assert part.dimension == 3
-        assert part.weight(0) == 1.0
+        assert part.weight_array[0] == 1.0
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(OverlappingGroupsError):
@@ -60,7 +60,7 @@ class TestGroupPartition:
 
     def test_weights_validated(self):
         part = GroupPartition([[0, 1], [2]], weights=[1.0, 2.0])
-        assert part.weight(1) == 2.0
+        assert part.weight_array[1] == 2.0
         with pytest.raises(DimensionMismatchError):
             GroupPartition([[0, 1], [2]], weights=[1.0])
         with pytest.raises(ValidationError):

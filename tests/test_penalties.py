@@ -265,11 +265,12 @@ class TestProxProperties:
                 idx = list(g)
                 zg, vg = closed[idx], v[idx]
                 norm = np.linalg.norm(zg)
+                w = part.weight_array[j]
                 if norm > 0:
                     np.testing.assert_allclose(
-                        vg - zg, scale * part.weight(j) * zg / norm, atol=1e-12)
+                        vg - zg, scale * w * zg / norm, atol=1e-12)
                 else:
-                    assert np.linalg.norm(vg) <= scale * part.weight(j) + 1e-12
+                    assert np.linalg.norm(vg) <= scale * w + 1e-12
 
     def test_lasso_prox_commutes_with_permutation(self):
         rng = np.random.default_rng(9)
@@ -429,14 +430,14 @@ def _loop_prox(spec, v, scale):
         idx = list(g)
         sg = np.sign(v[idx]) * np.maximum(np.abs(v[idx]) - alpha * scale, 0.0)
         norm = math.sqrt(sum(x * x for x in sg))
-        thresh = (1.0 - alpha) * scale * part.weight(j)
+        thresh = (1.0 - alpha) * scale * part.weight_array[j]
         out[idx] = (0.0 if norm <= thresh else 1.0 - thresh / norm) * sg
     return out
 
 
 def _loop_value(spec, beta):
     part, alpha = spec.partition, _loop_alpha(spec)
-    groups = sum(part.weight(j) * math.sqrt(sum(beta[i] ** 2 for i in g))
+    groups = sum(part.weight_array[j] * math.sqrt(sum(beta[i] ** 2 for i in g))
                  for j, g in enumerate(part.groups))
     return (1.0 - alpha) * groups + alpha * sum(abs(x) for x in beta)
 
@@ -447,7 +448,7 @@ def _loop_kkt(spec, u, beta, lam):
     coord = np.zeros(beta.size)
     group = np.zeros(len(part.groups))
     for j, g in enumerate(part.groups):
-        lam_g = lam * (1.0 - alpha) * part.weight(j)
+        lam_g = lam * (1.0 - alpha) * part.weight_array[j]
         norm = math.sqrt(sum(beta[i] ** 2 for i in g))
         if norm > 0.0:
             stat = {i: u[i] + lam_g * beta[i] / norm for i in g}

@@ -148,6 +148,20 @@ class TestKm:
         assert np.count_nonzero(rep.solution) < 10
         assert kkt_residual(prob, rep.solution).max_residual <= 1e-8
 
+    def test_cut_short_run_ends_on_the_prox_image(self):
+        # an averaged point keeps tiny values where its prox image is zero
+        from reesolve import prox
+        X, y, u, lam, prob = lasso_ls_instance(seed=3)
+        tau = 1.0 / u.lipschitz
+        rep = solve_km(prob, SolverConfig(tol=1e-12, max_iter=20),
+                       np.zeros(10))
+        assert rep.status is SolverStatus.MAX_ITER_REACHED
+        assert rep.iterations == 21
+        last = rep.iterates[-2]
+        np.testing.assert_array_equal(
+            rep.solution, prox(prob.penalty, last - tau * u(last), tau * lam))
+        assert np.count_nonzero(rep.solution) < np.count_nonzero(last)
+
     def test_fejer_monotone_toward_final_iterate(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=23)
         rep = solve_km(prob, SolverConfig(tol=1e-13, max_iter=200000),
@@ -606,6 +620,16 @@ class TestLqaNewton:
         rep = solve_lqa_newton(prob, cfg, np.zeros(2))
         assert rep.converged
 
+    def test_fd_jacobian_meeting_a_non_finite_u_diverges(self):
+        # the start is finite, but a difference step crosses 0.5
+        u = CustomEstimating(1, lambda b: np.where(b > 0.5, np.inf, b - 1.0))
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.1)
+        cfg = SolverConfig(allow_fd_jacobian=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_solver(prob, cfg, np.array([0.5 - 1e-7]), "lqa")
+        assert rep.status is SolverStatus.DIVERGED
+
     def test_p_exceeding_n_flagged(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((20, 60)) / np.sqrt(20)
@@ -831,18 +855,22 @@ class TestPath:
         with pytest.raises(ValidationError, match="empty"):
             solve_path(prob, [], cfg_fast())
 
-    def test_invalid_lambda_recorded_not_raised(self):
-        # the problem at lambda -0.1 fails its own validation; the sweep
-        # records it and keeps the first lambda's solve
+    def test_invalid_lambda_raises_before_any_solve(self):
+        # every lambda's problem is validated before the first solve, so the
+        # valid lambda 0.5 is not solved either
         X, y, u, lam, prob = lasso_ls_instance(seed=21)
-        entries = solve_path(prob, [0.5, -0.1], cfg_fast())
-        assert [e.lam for e in entries] == [0.5, -0.1]
-        assert entries[0].report.converged
-        failed = entries[1].report
-        assert failed.status is SolverStatus.NUMERICAL_FAILURE
-        assert failed.flags == ("error:ValidationError",)
-        np.testing.assert_array_equal(failed.solution,
-                                      entries[0].report.solution)
+        calls = []
+
+        def counted(b):
+            calls.append(1)
+            return u(b)
+
+        counting = EstimatingProblem(
+            u=CustomEstimating(u.dim, counted, lipschitz=u.lipschitz),
+            penalty=Lasso(), lam=lam)
+        with pytest.raises(ValidationError, match="lambda"):
+            solve_path(counting, [0.5, -0.1], cfg_fast())
+        assert calls == []
 
     def test_failures_recorded_not_raised(self):
         u = CustomEstimating(2, lambda b: b)  # no Lipschitz, no tau given
