@@ -84,12 +84,14 @@ from .diagnostics import (
     InverseKEnvelope,
     KktReport,
     KmRateEnvelope,
+    ViGapResult,
     ViProbeResult,
     fixed_point_residual,
     kkt_residual,
     oracle_grid_prox,
     oracle_lasso_cd,
     rate_envelope_check,
+    vi_gap,
     vi_probe,
 )
 

@@ -5,8 +5,8 @@ reals; problems (estimating function + penalty + lambda + config defaults)
 are a single JSON document with a schema_version field; group indices are
 1-based in files and converted to 0-based in memory; reports are JSON with
 every number round-trippable (non-finite values are serialized as the
-strings "inf"/"-inf"/"nan"); summary tables are CSV with numbers printed to
-17 significant digits.
+strings "inf"/"-inf"/"nan") and written compact, without indentation;
+summary tables are CSV with numbers printed to 17 significant digits.
 
 Exit codes: 0 success, 1 numerical or certificate failure, 2 usage/input
 error.
@@ -28,8 +28,10 @@ import numpy as np
 
 from .diagnostics import (
     check_probe_settings,
+    check_radius,
     fixed_point_residual,
     kkt_residual,
+    vi_gap,
     vi_probe,
 )
 from .estimating import (
@@ -92,6 +94,16 @@ def _sanitize(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
+
+
+def _json_floats(values) -> list:
+    """A float column as a JSON-ready list: one ``np.isfinite`` test and one
+    ``tolist()``. Only a column holding a non-finite value (or None, as
+    ``theta`` does outside gra-adaptive) goes through :func:`_sanitize`."""
+    column = np.asarray(values, dtype=float)
+    if np.isfinite(column).all():
+        return column.tolist()
+    return _sanitize(list(values))
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -299,39 +311,62 @@ def _if_supported(certificate, *inputs):
 
 
 def _certificates(problem: EstimatingProblem, beta: np.ndarray, tau: float,
-                  samples: int, radius: float, seed: int,
-                  vi_tol: float = 1e-8) -> dict:
-    """The three certificate blocks at ``beta``; the VI probe's verdict is
-    taken at ``vi_tol``. A block is None where it does not apply: the
-    penalty does not support it, or a non-finite ``beta`` (a diverged run),
-    which no certificate can value."""
-    fp = kkt = probe = None
+                  radius: float, vi_tol: Optional[float] = None,
+                  probe: Optional[tuple[int, int]] = None) -> dict:
+    """The three certificate blocks at ``beta``. The VI block is the exact
+    gap over the ball of ``radius``, its verdict taken at ``vi_tol`` (None:
+    the tolerance derived at step ``tau``). ``probe = (samples, seed)``
+    replays an old report's sampled ``vi_probe`` block instead, at
+    ``vi_tol`` (None: 1e-8, the old default). A block is None where it does
+    not apply: the penalty does not support it, or a non-finite ``beta``
+    (a diverged run), which no certificate can value."""
+    fp = kkt = vi = None
     if np.isfinite(beta).all():
         fp = _if_supported(fixed_point_residual, problem, beta, tau)
         kkt = _if_supported(kkt_residual, problem, beta)
-        probe = _if_supported(vi_probe, problem, beta, samples, radius, seed,
-                              vi_tol)
-    return {
+        if probe is None:
+            vi = _if_supported(vi_gap, problem, beta, radius, vi_tol, tau)
+        else:
+            vi = _if_supported(vi_probe, problem, beta, probe[0], radius,
+                               probe[1], 1e-8 if vi_tol is None else vi_tol)
+    certs = {
         "fixed_point": None if fp is None else {"tau": tau, "residual": fp},
         "kkt": None if kkt is None else {"max_residual": kkt.max_residual},
-        "vi_probe": None if probe is None else {
-            "samples": probe.samples, "radius": probe.radius, "seed": probe.seed,
-            "worst": probe.worst_value, "passed": probe.passed,
-        },
     }
+    if probe is not None:
+        certs["vi_probe"] = None if vi is None else {
+            "samples": vi.samples, "radius": vi.radius, "seed": vi.seed,
+            "worst": vi.worst_value, "passed": vi.passed,
+        }
+    else:
+        certs["vi_gap"] = None if vi is None else {
+            "radius": vi.radius, "value": vi.value, "lower": vi.lower,
+            "tol": vi.tol, "passed": vi.passed,
+        }
+    return certs
 
 
 def _certificates_text(certs: dict) -> str:
-    fp, kkt, vi = certs["fixed_point"], certs["kkt"], certs["vi_probe"]
+    fp, kkt = certs["fixed_point"], certs["kkt"]
+    if "vi_probe" in certs:
+        vi = certs["vi_probe"]
+        vi_text = "vi probe: not applicable" if vi is None else (
+            f"vi probe: {'pass' if vi['passed'] else 'FAIL'} "
+            f"(samples={vi['samples']}, radius={_fmt(vi['radius'])}, "
+            f"seed={vi['seed']}, worst={_fmt(vi['worst'])})")
+    else:
+        vi = certs["vi_gap"]
+        vi_text = "vi gap: not applicable" if vi is None else (
+            f"vi gap: {'pass' if vi['passed'] else 'FAIL'} "
+            f"(radius={_fmt(vi['radius'])}, value={_fmt(vi['value'])}, "
+            f"lower={'none' if vi['lower'] is None else _fmt(vi['lower'])}, "
+            f"tol={_fmt(vi['tol'])})")
     return "\n".join([
         "fixed-point residual: not applicable" if fp is None else
         f"fixed-point residual (tau={_fmt(fp['tau'])}): {_fmt(fp['residual'])}",
         "kkt residual: not applicable" if kkt is None else
         f"kkt residual (max): {_fmt(kkt['max_residual'])}",
-        "vi probe: not applicable" if vi is None else
-        f"vi probe: {'pass' if vi['passed'] else 'FAIL'} "
-        f"(samples={vi['samples']}, radius={_fmt(vi['radius'])}, "
-        f"seed={vi['seed']}, worst={_fmt(vi['worst'])})",
+        vi_text,
     ])
 
 
@@ -346,30 +381,32 @@ def _certificate_tau(problem: EstimatingProblem,
 def _write_report(path: Path, problem: EstimatingProblem, report: SolverReport,
                   doc: dict, args) -> dict:
     """Certify ``report.solution``, write the JSON report to ``path`` and
-    return the certificate blocks."""
+    return the certificate blocks. One compact ``json.dumps`` runs in C;
+    ``allow_nan=False`` guards the sentinel rule."""
     tau = _certificate_tau(problem, report)
-    certs = _certificates(problem, report.solution, tau,
-                          args.vi_samples, args.vi_radius, args.seed)
+    certs = _certificates(problem, report.solution, tau, args.vi_radius)
+    trace = report.trace
+    text = json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "method": report.method,
+        "status": report.status.value,
+        "iterations": report.iterations,
+        "initial_residual": _sanitize(report.initial_residual),
+        "stepsize": _sanitize(report.stepsize),
+        "flags": list(report.flags),
+        "solution": _json_floats(report.solution),
+        "config": _sanitize(asdict(report.config)),
+        "trace": {
+            "k": list(range(1, report.iterations + 1)),
+            "fp_residual": _json_floats([rec.fp_residual for rec in trace]),
+            "step": _json_floats([rec.step for rec in trace]),
+            "theta": _json_floats([rec.theta for rec in trace]),
+        },
+        "certificates": _sanitize(certs),
+        "problem": _sanitize(doc),
+    }, allow_nan=False, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(_sanitize({
-            "schema_version": SCHEMA_VERSION,
-            "method": report.method,
-            "status": report.status,
-            "iterations": report.iterations,
-            "initial_residual": report.initial_residual,
-            "stepsize": report.stepsize,
-            "flags": report.flags,
-            "solution": report.solution,
-            "config": asdict(report.config),
-            "trace": {
-                "k": list(range(1, report.iterations + 1)),
-                "fp_residual": [rec.fp_residual for rec in report.trace],
-                "step": [rec.step for rec in report.trace],
-                "theta": [rec.theta for rec in report.trace],
-            },
-            "certificates": certs,
-            "problem": doc,
-        }), fh, indent=2)
+        fh.write(text)
     return certs
 
 
@@ -381,7 +418,7 @@ def cmd_solve(args) -> int:
     problem, doc = _build_problem(args)
     config = _config_from_args(args, doc)
     init = _initial_point(args, problem.u.dim)
-    check_probe_settings(args.vi_samples, args.vi_radius, args.seed)
+    check_radius(args.vi_radius)
     report = run_solver(problem, config, init, args.method)
     out = Path(args.out)
     certs = _write_report(out, problem, report, doc, args)
@@ -414,7 +451,7 @@ def cmd_path(args) -> int:
         lams = list(np.geomspace(lmax, lmax / 100.0, args.auto_grid))
     else:
         raise ValidationError("give --lambdas or --auto-grid")
-    check_probe_settings(args.vi_samples, args.vi_radius, args.seed)
+    check_radius(args.vi_radius)
     entries = solve_path(problem, lams, config, method=args.method,
                          init=init, warm_start=not args.cold)
 
@@ -470,6 +507,7 @@ def _stored_block(parent: dict, key: str) -> dict:
 
 def cmd_check(args) -> int:
     problem, _ = _build_problem(args)
+    probe = None
     if args.report:
         with open(args.report) as fh:
             rep = json.load(fh)
@@ -479,23 +517,28 @@ def cmd_check(args) -> int:
         # an explicit --tau wins, as --kkt-tol does
         tau = float(_number(fp_stored, "tau", 1.0) if args.tau is None
                     else args.tau)
-        vi_stored = _stored_block(stored, "vi_probe")
-        samples = int(_number(vi_stored, "samples", args.vi_samples))
+        if "vi_probe" in stored:  # a report written before the exact VI gap
+            vi_stored = _stored_block(stored, "vi_probe")
+            probe = (int(_number(vi_stored, "samples", 1000)),
+                     int(_number(vi_stored, "seed", 0)))
+        else:
+            vi_stored = _stored_block(stored, "vi_gap")
         radius = float(_number(vi_stored, "radius", args.vi_radius))
-        seed = int(_number(vi_stored, "seed", args.seed))
         lam = _number(_stored_block(rep, "problem"), "lambda")
         if lam is not None and getattr(args, "lam", None) is None:
             problem = replace(problem, lam=float(lam))
     elif args.beta:
         beta = as_coefficients(_load_vector(args.beta), problem.u.dim)
         tau = args.tau if args.tau is not None else 1.0
-        samples, radius, seed = args.vi_samples, args.vi_radius, args.seed
+        radius = args.vi_radius
     else:
         raise ValidationError("give --report or --beta")
 
-    check_probe_settings(samples, radius, seed)
-    certs = _certificates(problem, beta, tau, samples, radius, seed,
-                          args.vi_tol)
+    if probe is None:
+        check_radius(radius)
+    else:
+        check_probe_settings(probe[0], radius, probe[1])
+    certs = _certificates(problem, beta, tau, radius, args.vi_tol, probe)
     print(_certificates_text(certs))
 
     failures = []
@@ -508,8 +551,12 @@ def cmd_check(args) -> int:
         kkt_tol = args.fp_tol / tau if args.kkt_tol is None else args.kkt_tol
         if kkt > kkt_tol:
             failures.append(("kkt", kkt))
-    if certs["vi_probe"] is not None and not certs["vi_probe"]["passed"]:
-        failures.append(("vi-probe", certs["vi_probe"]["worst"]))
+    vi = certs.get("vi_gap")
+    if vi is not None and not vi["passed"]:
+        failures.append(("vi-gap", vi["value"]))
+    vi = certs.get("vi_probe")
+    if vi is not None and not vi["passed"]:
+        failures.append(("vi-probe", vi["worst"]))
     if failures:
         name, value = max(failures, key=lambda f: abs(f[1]))
         print(f"FAILED: worst violation in {name} certificate ({_fmt(value)})")
@@ -682,18 +729,18 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--tol", type=float)
 
 
-def _add_probe_args(sub: argparse.ArgumentParser) -> None:
+def _add_vi_args(sub: argparse.ArgumentParser) -> None:
     g = sub.add_argument_group("certificates")
-    g.add_argument("--seed", type=int, default=0, help="probe RNG seed")
-    g.add_argument("--vi-samples", dest="vi_samples", type=int, default=1000)
-    g.add_argument("--vi-radius", dest="vi_radius", type=float, default=1.0)
+    g.add_argument("--vi-radius", dest="vi_radius", type=float, default=1.0,
+                   help="radius of the ball around the solution that the "
+                        "VI gap certificate covers")
 
 
 def _add_solve_args(sub: argparse.ArgumentParser) -> None:
     """Arguments shared by solve and path."""
     _add_problem_args(sub)
     _add_config_args(sub)
-    _add_probe_args(sub)
+    _add_vi_args(sub)
     sub.add_argument("--method", default=DEFAULT_METHOD, choices=METHOD_CHOICES)
     sub.add_argument("--init", help="initial point CSV (default: zeros)")
 
@@ -721,16 +768,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = subs.add_parser("check", help="re-certify a candidate solution")
     _add_problem_args(cp)
-    _add_probe_args(cp)
+    _add_vi_args(cp)
     cp.add_argument("--report", help="report JSON produced by solve")
     cp.add_argument("--beta", help="raw candidate CSV")
     cp.add_argument("--tau", type=float, help="stepsize for the fixed-point check")
     cp.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-8)
     cp.add_argument("--kkt-tol", dest="kkt_tol", type=float,
                     help="default: fp-tol / tau")
-    cp.add_argument("--vi-tol", dest="vi_tol", type=float, default=1e-8,
-                    help="VI probe passes at worst value >= -vi-tol; sets "
-                         "the printed verdict and the exit code")
+    cp.add_argument("--vi-tol", dest="vi_tol", type=float,
+                    help="VI gap passes at value >= -vi-tol; sets the "
+                         "printed verdict and the exit code (default: "
+                         "derived from the fixed-point step tau)")
     cp.set_defaults(func=cmd_check)
 
     bp = subs.add_parser("bench", help="run a benchmark matrix")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .estimating import evaluate
+from .estimating import evaluate, lipschitz_upper_bound
 from .model import (
     BallIndicator,
     ElasticNet,
@@ -29,6 +30,7 @@ from .model import (
     Lasso,
     MissingTraceFieldsError,
     NegativeScaleError,
+    NonFiniteOutputError,
     PenaltySpec,
     Ridge,
     SolverReport,
@@ -37,7 +39,7 @@ from .model import (
     ValidationError,
     as_coefficients,
 )
-from .penalties import penalty_value, project_ball, prox
+from .penalties import _prox, penalty_value, project_ball, prox
 
 __all__ = [
     "fixed_point_residual",
@@ -45,6 +47,8 @@ __all__ = [
     "KktReport",
     "vi_probe",
     "ViProbeResult",
+    "vi_gap",
+    "ViGapResult",
     "oracle_lasso_cd",
     "oracle_grid_prox",
     "rate_envelope_check",
@@ -100,17 +104,27 @@ def kkt_residual(problem: EstimatingProblem, beta) -> KktReport:
     below lambda. Only the sparsity-inducing penalties admit this case
     split; ridge-type penalties should be certified through
     :func:`fixed_point_residual` instead.
+
+    Each entry is the distance from the matching part of ``-U(beta)`` to
+    ``lam * dOmega(beta)``, so the entries' Euclidean norm is
+    ``dist_2(-U(beta), lam * dOmega(beta))`` (see :func:`vi_gap`).
     """
     beta = as_coefficients(beta, problem.u.dim)
-    lam = problem.lam
-    u = evaluate(problem.u, beta)
-    pen = problem.penalty
+    return _kkt_split(problem.penalty, beta, evaluate(problem.u, beta),
+                      problem.lam)
 
+
+def _l1_residual(beta: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """Per-coordinate distance from ``-g`` to ``lam * d||beta||_1``."""
+    return np.where(beta != 0.0, np.abs(g + lam * np.sign(beta)),
+                    np.maximum(np.abs(g) - lam, 0.0))
+
+
+def _kkt_split(pen: PenaltySpec, beta: np.ndarray, u: np.ndarray,
+               lam: float) -> KktReport:
+    """:func:`kkt_residual` at ``beta`` with ``u = U(beta)`` given."""
     if isinstance(pen, Lasso):
-        active = beta != 0.0
-        res = np.where(active,
-                       np.abs(u + lam * np.sign(beta)),
-                       np.maximum(np.abs(u) - lam, 0.0))
+        res = _l1_residual(beta, u, lam)
         return KktReport(float(res.max()), coordinate=res)
 
     if isinstance(pen, (GroupLasso, SparseGroupLasso)):
@@ -130,9 +144,7 @@ def kkt_residual(problem: EstimatingProblem, beta) -> KktReport:
                            np.maximum(stat_norms - lam_grp, 0.0))
             return KktReport(float(res.max()), group=res)
         lam_l1 = lam * alpha
-        coord_o = np.where(bo != 0.0,
-                           np.abs(stat + lam_l1 * np.sign(bo)),
-                           np.maximum(np.abs(stat) - lam_l1, 0.0))
+        coord_o = _l1_residual(bo, stat, lam_l1)
         coord = np.empty_like(beta)
         coord[order] = np.where(np.repeat(active, sizes), coord_o, 0.0)
         shrunk = np.sign(uo) * np.maximum(np.abs(uo) - lam_l1, 0.0)
@@ -236,13 +248,20 @@ def check_probe_settings(samples: int, radius: float,
     if not isinstance(samples, numbers.Integral) or samples < 1:
         raise ValidationError(
             f"samples must be >= 1 (an integer), got {samples!r}")
-    if not isinstance(radius, numbers.Real) or not 0.0 < radius < math.inf:
-        raise ValidationError(
-            f"radius must be positive and finite, got {radius!r}")
+    radius = check_radius(radius)
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(
             f"seed must be a non-negative integer, got {seed!r}")
-    return int(samples), float(radius), int(seed)
+    return int(samples), radius, int(seed)
+
+
+def check_radius(radius) -> float:
+    """A VI certificate's radius as a float: a positive finite real, else
+    :class:`ValidationError`."""
+    if not isinstance(radius, numbers.Real) or not 0.0 < radius < math.inf:
+        raise ValidationError(
+            f"radius must be positive and finite, got {radius!r}")
+    return float(radius)
 
 
 def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
@@ -300,6 +319,293 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
         return ViProbeResult(worst >= -tol, worst,
                              points(offsets[worst_idx:worst_idx + 1])[0],
                              samples, radius, seed, tol)
+
+
+# ---------------------------------------------------------------------------
+# Exact variational-inequality gap
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ViGapResult:
+    """Outcome of :func:`vi_gap`: the least VI value over a ball, the point
+    attaining it, the convexity lower bound (None for the l1 ball, which has
+    no closed form for the distance here, and for an infeasible ball
+    candidate) and the verdict at ``tol``."""
+
+    passed: bool
+    value: float
+    witness: Optional[np.ndarray]
+    lower: Optional[float]
+    radius: float
+    tol: float
+
+
+def _l1_l2_weights(pen: PenaltySpec) -> Optional[tuple[float, float]]:
+    """``(a, r)`` with ``Omega(b) = a*||b||_1 + r*||b||^2``, or None when
+    the penalty is not of that form."""
+    if isinstance(pen, Lasso):
+        return 1.0, 0.0
+    if isinstance(pen, ElasticNet):
+        return 1.0, pen.ratio
+    if isinstance(pen, Ridge):
+        return 0.0, 1.0
+    return None
+
+
+def _stationarity_distance(pen: PenaltySpec, beta: np.ndarray, u: np.ndarray,
+                           lam: float) -> Optional[float]:
+    """``dist_2(-u, lam * dOmega(beta))``; for a ball the distance from
+    ``-u`` to the normal cone at ``beta``. None for the l1 ball."""
+    weights = _l1_l2_weights(pen)
+    if weights is not None:
+        a, r = weights
+        return float(np.linalg.norm(
+            _l1_residual(beta, u + 2.0 * lam * r * beta, lam * a)))
+    if isinstance(pen, (GroupLasso, SparseGroupLasso)):
+        split = _kkt_split(pen, beta, u, lam)
+        return math.hypot(*(float(np.linalg.norm(part))
+                            for part in (split.coordinate, split.group)
+                            if part is not None))
+    ball = pen.ball
+    if ball.norm == "box":
+        # factor j of the normal cone: (-inf, 0] at a lower bound, [0, inf)
+        # at an upper one, {0} strictly inside
+        low = np.where(beta <= ball.lower, -np.inf, 0.0)
+        high = np.where(beta >= ball.upper, np.inf, 0.0)
+        return float(np.linalg.norm(
+            np.maximum(np.maximum(low + u, -u - high), 0.0)))
+    if ball.norm == "l2":
+        norm = float(np.linalg.norm(beta))
+        if norm < ball.radius:
+            return float(np.linalg.norm(u))
+        if norm == 0.0:  # the ball is the single point 0
+            return 0.0
+        return float(np.linalg.norm(
+            u + max(0.0, -float(u @ beta)) / (norm * norm) * beta))
+    return None
+
+
+def _sphere_step(d: np.ndarray, step: np.ndarray, radius: float,
+                 t_max: float) -> float:
+    """Least ``t >= 0`` with ``||d + t*step|| = radius``, given
+    ``||d|| <= radius``, capped at ``t_max``; 0 when ``step`` is 0."""
+    a = float(step @ step)
+    if not a > 0.0:
+        return 0.0
+    b = float(d @ step)
+    c = min(float(d @ d) - radius * radius, 0.0)
+    disc = math.sqrt(b * b - a * c)
+    # the two forms of the same root, each free of cancellation on its side
+    t = -c / (b + disc) if b > 0.0 else (disc - b) / a
+    return min(t, t_max)
+
+
+def _kinked_witness(point, beta: np.ndarray, radius: float,
+                    kinks: np.ndarray, c: float) -> np.ndarray:
+    """The witness when ``point(tau) - beta`` is affine in
+    ``s = tau / (1 + c*tau)`` between the sorted positive ``kinks``: a
+    binary search for the piece where the distance crosses ``radius``, then
+    one quadratic on it."""
+    lo, hi = -1, kinks.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.linalg.norm(point(kinks[mid]) - beta) <= radius:
+            lo = mid
+        else:
+            hi = mid
+    tau_lo = kinks[lo] if lo >= 0 else 0.0
+    d_lo = point(tau_lo) - beta
+    if hi < kinks.size:  # t in [0, 1] spans the piece
+        step = point(kinks[hi]) - beta - d_lo
+        t_max = 1.0
+    else:
+        # past the last kink: the direction comes from two points inside
+        # the piece, as a point at a kink may keep a rounding residue of a
+        # coordinate that the piece holds at zero; s tends to 1/c
+        tau_a = 2.0 * tau_lo if tau_lo > 0.0 else 1.0
+        tau_b = 2.0 * tau_a
+        s_lo, s_a, s_b = (t / (1.0 + c * t) for t in (tau_lo, tau_a, tau_b))
+        step = (point(tau_b) - point(tau_a)) * ((s_a - s_lo) / (s_b - s_a))
+        t_max = ((1.0 / c if c else math.inf) - s_lo) / (s_a - s_lo)
+    return beta + d_lo + _sphere_step(d_lo, step, radius, t_max) * step
+
+
+def _searched_witness(point, beta: np.ndarray, radius: float, tau: float,
+                      tau_max: float) -> np.ndarray:
+    """The witness for the other penalties. ``d(tau)`` is nondecreasing and
+    ``d(tau)/tau`` nonincreasing, so ``tau*radius/d(tau)`` never passes the
+    root: steps of at least 2 bracket it, then regula falsi (Illinois)
+    closes in from below. A distance still short of ``radius`` at
+    ``tau_max`` gives the point there, the limit point up to the
+    search's precision."""
+    lo, x_lo, d_lo = 0.0, beta, 0.0
+    while True:
+        x = point(tau)
+        d = float(np.linalg.norm(x - beta))
+        if not d <= radius:
+            break
+        lo, x_lo, d_lo = tau, x, d
+        if tau >= tau_max:
+            return x_lo
+        tau = min(tau * (max(2.0, radius / d) if d > 0.0 else 2.0), tau_max)
+    if not d == d:  # overflow: no representable witness
+        return x
+    hi, f_lo, f_hi, side = tau, d_lo - radius, d - radius, 0
+    for _ in range(64):
+        if -f_lo <= 1e-13 * radius or hi - lo <= 1e-15 * hi:
+            break
+        tau = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+        x = point(tau)
+        f = float(np.linalg.norm(x - beta)) - radius
+        if f <= 0.0:
+            lo, x_lo, f_lo = tau, x, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = tau, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return x_lo
+
+
+# the searched step stops where ||tau * U|| reaches this multiple of
+# ||bh|| + R: beyond it the prox of bh - tau*U rounds off more of the point
+# than the limit it approaches still gains
+_SEARCH_REACH = 2.0 ** 16
+
+
+def _witness(pen: PenaltySpec, point, beta: np.ndarray, u: np.ndarray,
+             lam: float, radius: float) -> np.ndarray:
+    """The point attaining :func:`vi_gap`'s value: from the kinks of
+    ``point(tau)`` where it is piecewise affine, else by search."""
+    weights = _l1_l2_weights(pen)
+    is_box = isinstance(pen, BallIndicator) and pen.ball.norm == "box"
+    if weights is None and not is_box:
+        norm_u = float(np.linalg.norm(u)) or 1.0
+        reach = (float(np.linalg.norm(beta)) + radius) / norm_u
+        return _searched_witness(point, beta, radius,
+                                 min(radius / norm_u, reach),
+                                 _SEARCH_REACH * reach)
+    with np.errstate(divide="ignore"):
+        if is_box:
+            c = 0.0
+            kinks = [(beta - pen.ball.lower) / u, (beta - pen.ball.upper) / u]
+        else:
+            a, r = weights
+            c = 2.0 * lam * r
+            kinks = ([beta / (u + lam * a), beta / (u - lam * a)]
+                     if lam * a > 0.0 else [])
+    kinks = np.concatenate(kinks) if kinks else np.empty(0)
+    kinks = np.unique(kinks[np.isfinite(kinks) & (kinks > 0.0)])
+    return _kinked_witness(point, beta, radius, kinks, c)
+
+
+# the derived tolerance's allowance for rounding in the value, per unit of
+# sqrt(p) * (R*||U|| + lam*(|Omega(witness)| + |Omega(bh)|))
+_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
+def vi_gap(problem: EstimatingProblem, beta, radius: float,
+           tol: Optional[float] = None,
+           tau: Optional[float] = None) -> ViGapResult:
+    """Exact worst value of the variational inequality over a ball:
+    ``W(R) = min phi(x)`` over ``||x - bh|| <= R``, where
+    ``phi(x) = U(bh)^T (x - bh) + lam*(Omega(x) - Omega(bh))``.
+
+    For a ball indicator ``phi`` is ``U(bh)^T (x - bh)`` over feasible
+    ``x``, and an infeasible ``bh`` fails outright (value ``-inf``).
+    Nonconvex penalties (SCAD) have no prox and raise
+    :class:`UnsupportedPenaltyError`.
+
+    *The witness.* ``phi`` is convex, so by the KKT conditions of the ball
+    constraint (multiplier ``1/t``) the point
+    ``x(t) = prox_{t*lam*Omega}(bh - t*U(bh))`` minimizes ``phi`` over the
+    ball of radius ``d(t) = ||x(t) - bh||``, and ``d`` is nondecreasing in
+    t. ``W(R)`` is ``phi`` at the t with ``d(t) = R``, or at the limit
+    point when ``d`` stays below R. For the lasso, elastic net, ridge and
+    box, ``x(t)`` is affine in ``s = t/(1 + 2*lam*r*t)`` (r the ridge
+    weight) between the kinks ``bh_j/(U_j +- lam)`` (box: where a
+    coordinate meets its bound), so a binary search over the sorted kinks
+    and one quadratic give t exactly. Other penalties bracket t and close
+    in by regula falsi through the prox; balls use the projection. The
+    witness lies within R.
+
+    *The lower bound.* For every ``g`` in ``lam*dOmega(bh)`` (for a ball,
+    the normal cone), ``phi(x) >= (U(bh) + g)^T (x - bh) >= -R*||U(bh) + g||``,
+    so ``W(R) >= -R * dist_2(-U(bh), lam*dOmega(bh))``. That distance is
+    the norm of the :func:`kkt_residual` split (ridge-type penalties,
+    the box and the l2 ball have their own closed forms) and needs no prox,
+    so ``lower`` cross-checks the witness.
+
+    *The tolerance.* ``passed`` is ``value >= -tol`` with both finite. When
+    ``tol`` is None it is derived at step ``tau`` (default 1/L of U, or 1
+    when U has no bound): with ``q = prox_{tau*lam*Omega}(bh - tau*U(bh))``,
+    ``T = R*(||U(q) - U(bh)|| + ||bh - q||/tau)``. Proof sketch: the prox's
+    optimality condition puts ``(bh - tau*U(bh) - q)/tau`` in
+    ``lam*dOmega(q)``, so ``-U(q)`` lies within
+    ``||U(q) - U(bh)|| + ||bh - q||/tau`` of ``lam*dOmega(q)``, and the lower
+    bound above taken at q gives ``W_q(R) >= -T``. The verdict asks of bh
+    what is proven of its own prox image; T shrinks with the fixed-point
+    residual and is 0 at an exact solution, so a rounding allowance of
+    ``8*eps*sqrt(p)*(R*||U(bh)|| + lam*(|Omega(witness)| + |Omega(bh)|))``
+    is added to it. A radius so large that the witness or T overflows
+    fails, without a warning, and so does a q at which U overflows.
+    """
+    radius = check_radius(radius)
+    beta = as_coefficients(beta, problem.u.dim)
+    pen, lam = problem.penalty, problem.lam
+    ball = isinstance(pen, BallIndicator)
+    omega_hat = float(_omega_rows(pen, beta[None, :])[0])
+    u = evaluate(problem.u, beta)
+
+    def point(t: float) -> np.ndarray:
+        v = beta - t * u
+        if not np.isfinite(v).all():
+            return np.full_like(beta, np.nan)
+        return _prox(pen, v, t * lam)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = tol is None
+        if derived:
+            if tau is None:
+                L = lipschitz_upper_bound(problem.u)
+                tau = 1.0 / L if L else 1.0
+            q = point(tau)
+            try:
+                u_q = evaluate(problem.u, q)
+            except NonFiniteOutputError:  # q or U(q) overflows: T is inf
+                u_q = np.full_like(u, np.inf)
+            tol = radius * (float(np.linalg.norm(u_q - u))
+                            + float(np.linalg.norm(beta - q)) / tau)
+        if not math.isfinite(omega_hat):  # an infeasible ball candidate
+            return ViGapResult(False, -math.inf, None, None, radius, tol)
+        witness = _witness(pen, point, beta, u, lam, radius)
+        if ball and np.isfinite(witness).all():
+            # a projection of a far point (large tau) can land a rounding
+            # error outside the set; projecting the witness itself cannot
+            witness = project_ball(pen.ball, witness)
+        offset = witness - beta
+        dist = float(np.linalg.norm(offset))
+        if dist > radius:  # rounding past the sphere
+            witness = beta + offset * (radius / dist)
+        value = float(u @ (witness - beta))
+        omega = 0.0
+        if lam > 0.0 and not ball:
+            omega = float(_omega_rows(pen, witness[None, :])[0])
+            value += lam * (omega - omega_hat)
+        if derived:
+            tol += _ROUNDING * math.sqrt(beta.size) * (
+                radius * float(np.linalg.norm(u))
+                + lam * (abs(omega) + abs(omega_hat)))
+        distance = _stationarity_distance(pen, beta, u, lam)
+    lower = None if distance is None else -radius * distance
+    value, tol = float(value), float(tol)
+    passed = math.isfinite(value) and math.isfinite(tol) and value >= -tol
+    return ViGapResult(passed, value, witness, lower, radius, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -38,16 +38,19 @@ def test_solve_end_to_end(lasso_files, capsys):
     assert "status: converged" in text
     assert "fixed-point residual" in text
     assert "kkt residual (max)" in text
-    assert "vi probe: pass" in text
+    assert "vi gap: pass" in text
     report = json.loads(out.read_text())
     assert report["schema_version"] == 1
     assert report["status"] == "converged"
     assert len(report["solution"]) == 6
     assert len(report["trace"]["k"]) == report["iterations"]
-    # config echo keeps every knob, seeds included
+    # config echo keeps every knob
     for key in ("tau", "rho", "psi", "t_bar", "epsilon_lqa", "zero_threshold"):
         assert key in report["config"]
-    assert report["certificates"]["vi_probe"]["seed"] == 0
+    vi = report["certificates"]["vi_gap"]
+    assert list(vi) == ["radius", "value", "lower", "tol", "passed"]
+    assert vi["radius"] == 1.0 and vi["passed"] is True
+    assert vi["lower"] <= vi["value"] <= 0.0 <= vi["tol"]
     assert report["config"]["record_iterates"] is False
 
 
@@ -155,10 +158,21 @@ def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _as_old_report(report: dict) -> dict:
+    """``report`` with its VI block as reports held it before the exact VI
+    gap: a sampled ``vi_probe`` block with the old default settings."""
+    certs = report["certificates"]
+    del certs["vi_gap"]
+    certs["vi_probe"] = {"samples": 1000, "radius": 1.0, "seed": 0,
+                         "worst": 0.5, "passed": True}
+    return report
+
+
+# the samples and seed cases plant an old report's vi_probe block
 @pytest.mark.parametrize("block, key", [
     (("problem",), "lambda"), (("certificates", "fixed_point"), "tau"),
     (("certificates", "vi_probe"), "samples"),
-    (("certificates", "vi_probe"), "radius"),
+    (("certificates", "vi_gap"), "radius"),
     (("certificates", "vi_probe"), "seed")],
     ids=["lambda", "tau", "samples", "radius", "seed"])
 def test_check_rejects_a_json_boolean_in_the_report(lasso_files, capsys,
@@ -169,6 +183,8 @@ def test_check_rejects_a_json_boolean_in_the_report(lasso_files, capsys,
     assert main(["solve", "--lambda", str(lam), "--out", str(out)]
                 + problem) == 0
     report = json.loads(out.read_text())
+    if "vi_probe" in block:
+        report = _as_old_report(report)
     target = report
     for name in block:
         target = target[name]
@@ -274,10 +290,17 @@ def _unscaled_files(tmp_path):
 
 
 _GROUPS = ["--groups", "1,2;3,4;5,6;7,8"]
-# penalty -> the flags it needs besides --penalty
+# test id -> the penalty flags; "ball" is the l2 ball
 _ROUND_TRIP_PENALTIES = {
-    "lasso": [], "group-lasso": _GROUPS, "sparse-group-lasso": _GROUPS,
-    "ridge": [], "elastic-net": [], "ball": ["--ball-norm", "l2"],
+    "lasso": ["--penalty", "lasso"],
+    "group-lasso": ["--penalty", "group-lasso"] + _GROUPS,
+    "sparse-group-lasso": ["--penalty", "sparse-group-lasso"] + _GROUPS,
+    "ridge": ["--penalty", "ridge"],
+    "elastic-net": ["--penalty", "elastic-net"],
+    "ball": ["--penalty", "ball", "--ball-norm", "l2"],
+    "l1-ball": ["--penalty", "ball", "--ball-norm", "l1"],
+    "box": ["--penalty", "ball", "--ball-norm", "box", "--lower=" + "-1," * 7
+            + "-1", "--upper", "1," * 7 + "1"],
 }
 
 
@@ -289,7 +312,7 @@ def test_solve_then_check_passes_at_default_settings(tmp_path, capsys,
     # KKT is about ||f(beta) - beta|| / tau: with tau near 0.01 an absolute
     # KKT tolerance of 1e-8 failed solves that met their own stopping rule
     files, lam = _unscaled_files(tmp_path)
-    problem = ["--penalty", penalty] + _ROUND_TRIP_PENALTIES[penalty] + files
+    problem = _ROUND_TRIP_PENALTIES[penalty] + files
     out = tmp_path / "report.json"
     assert main(["solve", "--method", method, "--lambda", str(lam),
                  "--out", str(out)] + problem) == 0
@@ -361,14 +384,14 @@ def test_check_round_trip_bit_for_bit(lasso_files, capsys):
                  "--out", str(out)]) == 0
     solve_text = capsys.readouterr().out
     cert_block = [ln for ln in solve_text.splitlines()
-                  if ln.startswith(("fixed-point", "kkt", "vi probe"))]
+                  if ln.startswith(("fixed-point", "kkt", "vi gap"))]
 
     code = main(["check", "--report", str(out), "--penalty", "lasso",
                  "--design", xp, "--response", yp])
     check_text = capsys.readouterr().out
     assert code == 0
     check_block = [ln for ln in check_text.splitlines()
-                   if ln.startswith(("fixed-point", "kkt", "vi probe"))]
+                   if ln.startswith(("fixed-point", "kkt", "vi gap"))]
     assert cert_block == check_block
     assert "all certificates pass" in check_text
 
@@ -554,7 +577,7 @@ def test_solve_box_constrained(lasso_files, capsys):
     assert report["status"] == "converged"
     sol = np.array(report["solution"])
     assert np.all(sol >= -0.5 - 1e-12) and np.all(sol <= 0.5 + 1e-12)
-    assert "vi probe: pass" in capsys.readouterr().out
+    assert "vi gap: pass" in capsys.readouterr().out
 
 
 def test_bench_lqa_slower_than_gra_at_p200(tmp_path):
@@ -623,13 +646,14 @@ def test_path_invalid_lambda_exits_2_before_solving(lasso_files, capsys,
     assert not out_dir.exists()
 
 
+# --vi-samples and --seed went with the sampled probe: argparse refuses them
 @pytest.mark.parametrize("command", ["solve", "path", "check"])
 @pytest.mark.parametrize("probe, message", [
-    (["--vi-samples", "0"], "samples must be >= 1"),
+    (["--vi-samples", "0"], "unrecognized arguments: --vi-samples 0"),
     (["--vi-radius", "0"], "radius must be positive"),
     (["--vi-radius", "nan"], "radius must be positive"),
     (["--vi-radius", "inf"], "radius must be positive and finite"),
-    (["--seed", "-1"], "seed must be a non-negative integer"),
+    (["--seed", "-1"], "unrecognized arguments: --seed -1"),
 ], ids=["samples-0", "radius-0", "radius-nan", "radius-inf", "seed-negative"])
 def test_bad_probe_settings_exit_2_before_solving(lasso_files, capsys,
                                                  monkeypatch, command, probe,
@@ -647,8 +671,11 @@ def test_bad_probe_settings_exit_2_before_solving(lasso_files, capsys,
         "path": ["--auto-grid", "5", "--out-dir", str(out)],
         "check": ["--lambda", str(lam), "--beta", str(tmp / "beta.csv")],
     }[command]
-    code = main([command, "--penalty", "lasso", "--design", xp,
-                 "--response", yp] + target + probe)
+    try:
+        code = main([command, "--penalty", "lasso", "--design", xp,
+                     "--response", yp] + target + probe)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     assert code == 2
     captured = capsys.readouterr()
     assert message in captured.err
@@ -656,50 +683,104 @@ def test_bad_probe_settings_exit_2_before_solving(lasso_files, capsys,
     assert not out.exists()
 
 
-def _l1_ball_report(tmp_path, scale):
-    """A converged picard report on an l1 ball of radius 1; its probe reads
-    -5.3e-8 with ``scale`` sqrt(40) and -1.1e-9 with ``scale`` 1."""
-    X, y, u, lam, prob = lasso_ls_instance(seed=101, n=40, p=8)
-    np.savetxt(tmp_path / "X.csv", X * scale, delimiter=",")
+def _strong_signal_files(tmp_path):
+    """A 40 x 8 design scaled by 1/sqrt(n) with a large signal, so L is
+    about 1.5 and lambda (0.7 of lambda_max) about 4.6.
+
+    Moving a zero coordinate (group) of a solution by delta makes the
+    derived VI tolerance about R*delta*(1/tau + ||U's column||) and the VI
+    value about -delta*(lambda + |U_j|): the VI gap rejects the move where
+    lambda is well above L, as here, and accepts it where lambda is below
+    L at R = 1."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((40, 8)) / np.sqrt(40)
+    y = X @ np.array([10.0, -8.0, 0, 0, 6.0, 0, 0, 5.0])
+    y += 0.1 * rng.standard_normal(40)
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
     np.savetxt(tmp_path / "y.csv", y, delimiter=",")
-    problem = ["--penalty", "ball", "--ball-norm", "l1", "--radius", "1",
-               "--design", str(tmp_path / "X.csv"),
-               "--response", str(tmp_path / "y.csv")]
+    lam = 0.7 * float(np.abs(X.T @ y).max())
+    return ["--lambda", repr(lam), "--design", str(tmp_path / "X.csv"),
+            "--response", str(tmp_path / "y.csv")]
+
+
+def _moved_report(tmp_path, penalty, size, strong=True):
+    """A converged report whose first zero coordinate (zero group) is moved
+    by ``size``; returns its path and the problem flags. ``strong=False``
+    solves on :func:`_unscaled_files` instead, where lambda is below L."""
+    if strong:
+        files = _strong_signal_files(tmp_path)
+    else:
+        files, lam = _unscaled_files(tmp_path)
+        files += ["--lambda", repr(lam)]
+    problem = ["--penalty", penalty] + files
+    if penalty == "group-lasso":
+        problem += _GROUPS
     out = tmp_path / "report.json"
-    assert main(["solve", "--method", "picard", "--out", str(out)]
-                + problem) == 0
+    assert main(["solve", "--out", str(out)] + problem) == 0
+    report = json.loads(out.read_text())
+    beta = np.array(report["solution"])
+    if penalty == "group-lasso":
+        group = next(g for g in ([0, 1], [2, 3], [4, 5], [6, 7])
+                     if not beta[g].any())
+        beta[group] += size / np.sqrt(2.0)
+    else:
+        beta[np.flatnonzero(beta == 0.0)[0]] += size
+    report["solution"] = beta.tolist()
+    out.write_text(json.dumps(report))
     return out, problem
 
 
-@pytest.mark.parametrize("scale, vi_tol, verdict, code", [
-    (math.sqrt(40), "1e-6", "pass", 0), (1.0, "1e-10", "FAIL", 1),
-], ids=["loose", "tight"])
-def test_check_vi_verdict_follows_vi_tol(tmp_path, capsys, scale, vi_tol,
-                                         verdict, code):
-    # each probe reads on the other side of the default -1e-8 from
-    # -vi_tol, so the default tolerance gives the opposite verdict
-    out, problem = _l1_ball_report(tmp_path, scale)
-    worst = json.loads(out.read_text())["certificates"]["vi_probe"]["worst"]
-    assert (-1e-6 < worst < -1e-8) if code == 0 else (-1e-8 < worst < -1e-10)
+@pytest.mark.parametrize("penalty", ["lasso", "group-lasso"])
+def test_vi_gap_alone_rejects_a_moved_solution(tmp_path, capsys, penalty):
+    out, problem = _moved_report(tmp_path, penalty, 1e-3)
     capsys.readouterr()
-    assert main(["check", "--report", str(out), "--vi-tol", vi_tol]
+    assert main(["check", "--report", str(out)] + problem) == 1
+    assert "vi gap: FAIL (" in capsys.readouterr().out
+    # with the other certificates' tolerances loosened the VI verdict
+    # alone sets the exit code
+    assert main(["check", "--report", str(out), "--fp-tol", "1",
+                 "--kkt-tol", "1e3"] + problem) == 1
+    text = capsys.readouterr().out
+    assert "vi gap: FAIL (" in text
+    assert "FAILED: worst violation in vi-gap certificate" in text
+
+
+@pytest.mark.parametrize("vi_tol, verdict, code", [
+    ("loose", "pass", 0), ("tight", "FAIL", 1),
+], ids=["loose", "tight"])
+def test_check_vi_verdict_follows_vi_tol(tmp_path, capsys, vi_tol, verdict,
+                                         code):
+    # an elastic net solution (no KKT split) with a zero coordinate moved by
+    # 1e-9 (loose) or 1e-10 (tight) keeps its fixed-point residual below
+    # 1e-8. Where lambda is above L (loose) the move fails the derived VI
+    # tolerance, where it is below (tight) it passes; an explicit --vi-tol
+    # on the other side of the value turns each default verdict round.
+    loose = vi_tol == "loose"
+    out, problem = _moved_report(tmp_path, "elastic-net",
+                                 1e-9 if loose else 1e-10, strong=loose)
+    capsys.readouterr()
+    assert main(["check", "--report", str(out)] + problem) == 1 - code
+    value = float(capsys.readouterr().out.split("value=")[1].split(",")[0])
+    assert value < 0.0
+    explicit = -2.0 * value if loose else -0.5 * value
+    assert main(["check", "--report", str(out), "--vi-tol", repr(explicit)]
                 + problem) == code
     text = capsys.readouterr().out
-    assert f"vi probe: {verdict} " in text
+    assert f"vi gap: {verdict} " in text
     assert ("all certificates pass" in text) == (code == 0)
 
 
 def test_overflowing_probe_prints_fail_without_warnings(lasso_files, capsys):
     # the suite turns warnings into errors, so a numpy overflow warning
-    # fails this test
+    # fails this test; the derived tolerance overflows, which fails
     tmp, xp, yp, lam = lasso_files
     code = main(["solve", "--penalty", "elastic-net", "--lambda", str(lam),
                  "--design", xp, "--response", yp, "--vi-radius", "1e308",
                  "--out", str(tmp / "report.json")])
     assert code == 0
     captured = capsys.readouterr()
-    assert ("vi probe: FAIL (samples=1000, radius=1e+308, seed=0, worst=nan)"
-            in captured.out)
+    assert "vi gap: FAIL (radius=1e+308, value=" in captured.out
+    assert "tol=inf)" in captured.out
     assert captured.err == ""
 
 
@@ -822,6 +903,25 @@ def test_solve_divergent_exits_1(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().out
 
 
+# the solver's own overflow warnings are older than the VI gap
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_whose_u_overflows_at_the_prox_image_exits_1(tmp_path,
+                                                                  capsys):
+    # picard's first step lands at beta = 1 and the run ends diverged there;
+    # U(beta - tau*U(beta)) overflows, which fails the VI gap, not the CLI
+    np.savetxt(tmp_path / "A.csv", 1e200 * np.eye(2), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", np.ones(2), delimiter=",")
+    code = main(["solve", "--method", "picard",
+                 "--matrix", str(tmp_path / "A.csv"),
+                 "--offset", str(tmp_path / "b.csv"),
+                 "--penalty", "lasso", "--lambda", "0.0", "--tau", "1.0",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "status: diverged" in text
+    assert "vi gap: FAIL (" in text and "tol=inf)" in text
+
+
 def _overflowing_lqa(tmp_path):
     """LQA's Newton step overflows on U = 1e-300 * I - 1e10: the run ends
     diverged at [inf, inf]."""
@@ -842,6 +942,30 @@ def test_solve_non_finite_solution_gets_null_certificates(tmp_path, capsys):
     assert report["status"] == "diverged"
     assert report["solution"] == ["inf", "inf"]
     assert set(report["certificates"].values()) == {None}
+
+
+def test_diverged_report_keeps_its_sentinels(tmp_path):
+    # the compact report of a run that ends at [inf, inf] is still strict
+    # JSON: non-finite numbers are written as sentinel strings
+    out = tmp_path / "r.json"
+    assert main(["solve", "--lambda", "1e-300", "--out", str(out)]
+                + _overflowing_lqa(tmp_path)) == 1
+    text = out.read_text()
+    assert "\n" not in text and "NaN" not in text and "Infinity" not in text
+    report = json.loads(text)
+    assert report["status"] == "diverged"
+    assert report["solution"] == ["inf", "inf"]
+    assert report["trace"]["theta"] == [None] * report["iterations"]
+
+
+def test_json_floats_uses_sentinels_only_where_needed():
+    finite = np.array([1.5, -0.0, 1e-300])
+    assert cli._json_floats(finite) == [1.5, -0.0, 1e-300]
+    assert cli._json_floats([1.0, math.nan, -math.inf, math.inf]) == [
+        1.0, "nan", "-inf", "inf"]
+    # theta outside gra-adaptive stays null
+    assert cli._json_floats([None, None]) == [None, None]
+    assert cli._json_floats([]) == []
 
 
 def test_overflowing_lqa_prints_no_warning(tmp_path, capsys):
@@ -882,19 +1006,26 @@ def test_path_non_finite_solutions_write_every_report(tmp_path, capsys):
     {"certificates": {"fixed_point": "x"}},
     {"certificates": {"vi_probe": True}}, {"certificates": {"vi_probe": [1]}},
     {"certificates": {"vi_probe": "x"}},
+    {"certificates": {"vi_gap": True}}, {"certificates": {"vi_gap": [1]}},
+    {"certificates": {"vi_gap": "x"}},
     {"problem": True}, {"problem": [1]}, {"problem": "x"},
     {"certificates": {"vi_probe": {"samples": math.inf}}},
     {"certificates": {"vi_probe": {"seed": -math.inf}}},
+    {"certificates": {"vi_gap": {"radius": math.inf}}},
 ], ids=["certs-true", "certs-list", "certs-str", "fp-true", "fp-list",
-        "fp-str", "vi-true", "vi-list", "vi-str", "problem-true",
-        "problem-list", "problem-str", "samples-1e400", "seed-minus-1e400"])
+        "fp-str", "vi-true", "vi-list", "vi-str", "gap-true", "gap-list",
+        "gap-str", "problem-true", "problem-list", "problem-str",
+        "samples-1e400", "seed-minus-1e400", "radius-1e400"])
 def test_malformed_report_exits_2(lasso_files, capsys, patch):
     tmp, xp, yp, lam = lasso_files
     out = tmp / "report.json"
     problem = ["--penalty", "lasso", "--design", xp, "--response", yp]
-    assert main(["solve", "--lambda", str(lam), "--vi-samples", "50",
-                 "--out", str(out)] + problem) == 0
+    assert main(["solve", "--lambda", str(lam), "--out", str(out)]
+                + problem) == 0
     report = json.loads(out.read_text())
+    # the samples and seed cases patch an old report's vi_probe block
+    if "vi_probe" in str(patch):
+        report = _as_old_report(report)
     for field, value in patch.items():
         if field == "certificates" and isinstance(value, dict):
             for block, fields in value.items():
@@ -1024,7 +1155,7 @@ def test_flag_and_document_key_agree(tmp_path, dest, flag, block, key, value):
         path.write_text(json.dumps(document))
         out = tmp_path / f"{name}_report.json"
         assert main(["solve", "--problem", str(path), "--max-iter", "50",
-                     "--vi-samples", "20", "--out", str(out)] + extra) == 0
+                     "--out", str(out)] + extra) == 0
         return json.loads(out.read_text())["problem"]
 
     from_flag = problem_block("flag", doc, flag)
@@ -1109,5 +1240,5 @@ def test_problem_documents_never_traceback(property_dir, doc, method):
     path = property_dir / "problem.json"
     path.write_text(json.dumps(doc))
     code = main(["solve", "--problem", str(path), "--method", method,
-                 "--vi-samples", "20", "--out", str(property_dir / "r.json")])
+                 "--out", str(property_dir / "r.json")])
     assert code in (0, 1, 2)

@@ -11,6 +11,7 @@ from reesolve import diagnostics
 from reesolve import (
     BallConstraint,
     BallIndicator,
+    ElasticNet,
     EstimatingProblem,
     GeometricEnvelope,
     GroupLasso,
@@ -24,6 +25,7 @@ from reesolve import (
     LinearEstimating,
     MissingTraceFieldsError,
     Ridge,
+    Scad,
     SolverConfig,
     SolverReport,
     SolverStatus,
@@ -38,9 +40,11 @@ from reesolve import (
     oracle_lasso_cd,
     penalty_value,
     project_ball,
+    prox,
     rate_envelope_check,
     solve_km,
     solve_picard,
+    vi_gap,
     vi_probe,
 )
 
@@ -389,6 +393,193 @@ class TestViProbeCachedDraw:
         X, y, u, lam, prob = lasso_ls_instance(seed=14)
         with pytest.raises(ValidationError, match="seed must be"):
             vi_probe(prob, np.zeros(10), 50, 1.0, np.random.default_rng(9))
+
+
+def _phi(problem, beta_hat, x):
+    """The VI function at ``beta_hat`` evaluated at ``x``."""
+    beta_hat = np.asarray(beta_hat, dtype=float)
+    value = float(evaluate(problem.u, beta_hat) @ (x - beta_hat))
+    if not isinstance(problem.penalty, BallIndicator):
+        value += problem.lam * (penalty_value(problem.penalty, x)
+                                - penalty_value(problem.penalty, beta_hat))
+    return value
+
+
+_BOX = BallConstraint("box", lower=-np.ones(30), upper=np.ones(30))
+
+
+class TestViGap:
+    def test_one_coordinate_by_hand(self):
+        # phi(x) = 3(x - 1) + |x| - 1 on [-1, 3] is least at x = -1, where
+        # it is -6; dist(-3, d|1|) = 4 gives the bound -8
+        u = LinearEstimating(np.zeros((1, 1)), np.array([-3.0]))
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=1.0)
+        gap = vi_gap(prob, [1.0], 2.0, tol=0.0)
+        assert gap.value == pytest.approx(-6.0, rel=1e-14)
+        assert gap.witness == pytest.approx([-1.0], rel=1e-14)
+        assert gap.lower == -8.0
+        assert not gap.passed
+
+    def test_zero_solution_reads_exactly_zero(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=15)
+        above = EstimatingProblem(u=u, penalty=Lasso(), lam=2 * lambda_max(u))
+        gap = vi_gap(above, np.zeros(10), 1.0)
+        assert gap.value == 0.0 and gap.lower == 0.0 and gap.passed
+        assert np.array_equal(gap.witness, np.zeros(10))
+
+    def test_oracle_solution_passes_and_a_moved_one_reads_lower(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=8)
+        beta = oracle_lasso_cd(X, y, lam, tol=1e-15)
+        gap = vi_gap(prob, beta, 1.0)
+        assert gap.passed and gap.lower <= gap.value + 1e-14
+        assert gap.value <= 1e-14
+        moved = beta + 0.5
+        bad = vi_gap(prob, moved, 1.0, tol=1e-8)
+        assert not bad.passed
+        assert bad.value == pytest.approx(_phi(prob, moved, bad.witness),
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("penalty", [
+        Lasso(), Ridge(), ElasticNet(ratio=0.7), BallIndicator(_BOX),
+    ], ids=["lasso", "ridge", "elastic-net", "box"])
+    @pytest.mark.parametrize("radius", [0.05, 1.0, 50.0])
+    def test_kinked_witness_agrees_with_the_search(self, penalty, radius):
+        # the breakpoint solution against the regula falsi that serves the
+        # other penalties, on the same prox path
+        rng = np.random.default_rng(16)
+        M = rng.standard_normal((30, 30))
+        u = LinearEstimating(M @ M.T / 30, rng.standard_normal(30))
+        prob = EstimatingProblem(u=u, penalty=penalty, lam=0.4)
+        beta = np.where(rng.uniform(size=30) < 0.5, 0.0,
+                        rng.uniform(-0.9, 0.9, size=30))
+        gap = vi_gap(prob, beta, radius)
+        u_hat = u(beta)
+
+        def point(t):
+            return diagnostics._prox(penalty, beta - t * u_hat, t * 0.4)
+
+        reach = (np.linalg.norm(beta) + radius) / np.linalg.norm(u_hat)
+        searched = diagnostics._searched_witness(
+            point, beta, radius, radius / np.linalg.norm(u_hat),
+            diagnostics._SEARCH_REACH * reach)
+        assert gap.value == pytest.approx(_phi(prob, beta, searched),
+                                          rel=1e-9, abs=1e-12)
+        assert np.linalg.norm(gap.witness - beta) <= radius * (1 + 1e-12)
+
+    def test_scad_is_unsupported(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=15)
+        scad = EstimatingProblem(u=u, penalty=Scad(a=3.7), lam=lam)
+        with pytest.raises(UnsupportedPenaltyError):
+            vi_gap(scad, np.zeros(10), 1.0)
+
+    def test_infeasible_ball_candidate_fails_outright(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=15)
+        ball = EstimatingProblem(
+            u=u, penalty=BallIndicator(BallConstraint("l1", radius=1.0)))
+        gap = vi_gap(ball, np.full(10, 0.5), 1.0)
+        assert not gap.passed and gap.value == -math.inf
+        assert gap.witness is None and gap.lower is None
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, "1"])
+    def test_bad_radius_is_rejected(self, radius):
+        X, y, u, lam, prob = lasso_ls_instance(seed=15)
+        with pytest.raises(ValidationError, match="radius must be positive"):
+            vi_gap(prob, np.zeros(10), radius)
+
+    def test_explicit_tolerance_wins(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=17)
+        beta = oracle_lasso_cd(X, y, lam, tol=1e-15) + 1e-4
+        derived = vi_gap(prob, beta, 1.0)
+        assert derived.value < 0.0
+        for tol in (0.0, -2.0 * derived.value):
+            gap = vi_gap(prob, beta, 1.0, tol=tol)
+            assert gap.tol == tol and gap.value == derived.value
+            assert gap.passed == (tol > 0.0)
+
+    @pytest.mark.parametrize("penalty", [
+        Lasso(), GroupLasso(GroupPartition([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])),
+        BallIndicator(BallConstraint("l2", radius=1.0)),
+    ], ids=["lasso", "group-lasso", "l2-ball"])
+    def test_overflowing_radius_fails_without_warnings(self, penalty):
+        # the suite's warnings-as-errors setting catches any warning
+        X, y, u, lam, prob = lasso_ls_instance(seed=10)
+        prob = EstimatingProblem(u=u, penalty=penalty, lam=lam)
+        gap = vi_gap(prob, 0.1 * np.ones(10), 1e308)
+        assert not gap.passed
+
+
+    def test_overflowing_prox_image_fails_without_warnings(self):
+        # U = 1e200*I - 1 at bh = (1, 1): U(bh - U(bh)) overflows, so the
+        # derived tolerance is inf and the gap fails instead of raising
+        u = LinearEstimating(1e200 * np.eye(2), np.ones(2))
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.0)
+        gap = vi_gap(prob, [1.0, 1.0], 1.0, tau=1.0)
+        assert not gap.passed and gap.tol == math.inf
+
+
+@st.composite
+def _gap_problems(draw):
+    """A random monotone linear U (PSD plus skew), any convex penalty and an
+    arbitrary candidate (projected onto the set for a ball).
+
+    The PSD part is absent or at least 0.1 of its draw: a tiny nonzero L
+    makes tau = 1/L so large that the l1 ball's projection of
+    ``bh - tau*U`` rounds to 0, which no certificate can repair."""
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((p, p))
+    Z = rng.standard_normal((p, p))
+    psd = draw(st.just(0.0) | st.floats(0.1, 1.0))
+    A = psd * M @ M.T / p + (Z - Z.T) / p
+    u = LinearEstimating(A, rng.standard_normal(p))
+    cuts = sorted(set(rng.integers(1, p, size=p // 2))) if p > 1 else []
+    part = GroupPartition([g.tolist() for g in np.split(rng.permutation(p),
+                                                        cuts)],
+                          weights=rng.uniform(0.5, 2.0, len(cuts) + 1))
+    penalty = draw(st.sampled_from([
+        Lasso(), Ridge(), ElasticNet(ratio=0.5), GroupLasso(part),
+        SparseGroupLasso(part, alpha=0.4),
+        BallIndicator(BallConstraint("l2", radius=1.0)),
+        BallIndicator(BallConstraint("l1", radius=1.0)),
+        BallIndicator(BallConstraint("box", lower=-rng.uniform(0.0, 2.0, p),
+                                     upper=rng.uniform(0.0, 2.0, p))),
+    ]))
+    lam = draw(st.just(0.0) | st.floats(0.01, 2.0))
+    beta = rng.standard_normal(p) * draw(st.sampled_from([0.01, 0.3, 3.0]))
+    # some coordinates (groups) at exactly zero, as solutions have
+    beta[rng.uniform(size=p) < 0.3] = 0.0
+    if isinstance(penalty, BallIndicator):
+        beta = project_ball(penalty.ball, beta)
+    return EstimatingProblem(u=u, penalty=penalty, lam=lam), beta
+
+
+class TestViGapProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_gap_problems(), radius=st.floats(0.01, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_between_the_bound_and_the_probe(self, case, radius, seed):
+        problem, beta = case
+        gap = vi_gap(problem, beta, radius)
+        u_hat = evaluate(problem.u, beta)
+        pen = problem.penalty
+        omega = 0.0 if isinstance(pen, BallIndicator) else (
+            problem.lam * (penalty_value(pen, beta)
+                           + penalty_value(pen, gap.witness)))
+        slack = 1e-9 * (1.0 + radius * np.linalg.norm(u_hat) + omega)
+        # the witness lies in the ball (and the set) and attains the value
+        assert np.linalg.norm(gap.witness - beta) <= radius * (1 + 1e-12)
+        assert math.isfinite(penalty_value(pen, gap.witness))
+        assert gap.value == pytest.approx(_phi(problem, beta, gap.witness),
+                                          abs=slack)
+        # lower <= value <= every sampled value, beta_hat's own 0 included
+        if gap.lower is not None:
+            assert gap.lower <= gap.value + slack
+        probe = vi_probe(problem, beta, 300, radius, seed)
+        assert gap.value <= min(probe.worst_value, 0.0) + slack
+        # the derived tolerance is proven for the prox image q
+        tau = 1.0 / problem.u.lipschitz if problem.u.lipschitz else 1.0
+        q = prox(pen, beta - tau * u_hat, tau * problem.lam)
+        assert vi_gap(problem, q, radius).value >= -gap.tol - slack
 
 
 class TestOracleLassoCd:
