@@ -27,12 +27,11 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import (
-    check_probe_settings,
     check_radius,
     fixed_point_residual,
     kkt_residual,
     vi_gap,
-    vi_probe,
+    vi_probe,  # unused here; perfbench/tracing.py wraps cli.vi_probe
 )
 from .estimating import (
     EstimatingFunction,
@@ -311,62 +310,39 @@ def _if_supported(certificate, *inputs):
 
 
 def _certificates(problem: EstimatingProblem, beta: np.ndarray, tau: float,
-                  radius: float, vi_tol: Optional[float] = None,
-                  probe: Optional[tuple[int, int]] = None) -> dict:
+                  radius: float, vi_tol: Optional[float] = None) -> dict:
     """The three certificate blocks at ``beta``. The VI block is the exact
     gap over the ball of ``radius``, its verdict taken at ``vi_tol`` (None:
-    the tolerance derived at step ``tau``). ``probe = (samples, seed)``
-    replays an old report's sampled ``vi_probe`` block instead, at
-    ``vi_tol`` (None: 1e-8, the old default). A block is None where it does
+    the tolerance derived at step ``tau``). A block is None where it does
     not apply: the penalty does not support it, or a non-finite ``beta``
     (a diverged run), which no certificate can value."""
     fp = kkt = vi = None
     if np.isfinite(beta).all():
         fp = _if_supported(fixed_point_residual, problem, beta, tau)
         kkt = _if_supported(kkt_residual, problem, beta)
-        if probe is None:
-            vi = _if_supported(vi_gap, problem, beta, radius, vi_tol, tau)
-        else:
-            vi = _if_supported(vi_probe, problem, beta, probe[0], radius,
-                               probe[1], 1e-8 if vi_tol is None else vi_tol)
-    certs = {
+        vi = _if_supported(vi_gap, problem, beta, radius, vi_tol, tau)
+    return {
         "fixed_point": None if fp is None else {"tau": tau, "residual": fp},
         "kkt": None if kkt is None else {"max_residual": kkt.max_residual},
-    }
-    if probe is not None:
-        certs["vi_probe"] = None if vi is None else {
-            "samples": vi.samples, "radius": vi.radius, "seed": vi.seed,
-            "worst": vi.worst_value, "passed": vi.passed,
-        }
-    else:
-        certs["vi_gap"] = None if vi is None else {
+        "vi_gap": None if vi is None else {
             "radius": vi.radius, "value": vi.value, "lower": vi.lower,
             "tol": vi.tol, "passed": vi.passed,
-        }
-    return certs
+        },
+    }
 
 
 def _certificates_text(certs: dict) -> str:
-    fp, kkt = certs["fixed_point"], certs["kkt"]
-    if "vi_probe" in certs:
-        vi = certs["vi_probe"]
-        vi_text = "vi probe: not applicable" if vi is None else (
-            f"vi probe: {'pass' if vi['passed'] else 'FAIL'} "
-            f"(samples={vi['samples']}, radius={_fmt(vi['radius'])}, "
-            f"seed={vi['seed']}, worst={_fmt(vi['worst'])})")
-    else:
-        vi = certs["vi_gap"]
-        vi_text = "vi gap: not applicable" if vi is None else (
-            f"vi gap: {'pass' if vi['passed'] else 'FAIL'} "
-            f"(radius={_fmt(vi['radius'])}, value={_fmt(vi['value'])}, "
-            f"lower={'none' if vi['lower'] is None else _fmt(vi['lower'])}, "
-            f"tol={_fmt(vi['tol'])})")
+    fp, kkt, vi = certs["fixed_point"], certs["kkt"], certs["vi_gap"]
     return "\n".join([
         "fixed-point residual: not applicable" if fp is None else
         f"fixed-point residual (tau={_fmt(fp['tau'])}): {_fmt(fp['residual'])}",
         "kkt residual: not applicable" if kkt is None else
         f"kkt residual (max): {_fmt(kkt['max_residual'])}",
-        vi_text,
+        "vi gap: not applicable" if vi is None else
+        f"vi gap: {'pass' if vi['passed'] else 'FAIL'} "
+        f"(radius={_fmt(vi['radius'])}, value={_fmt(vi['value'])}, "
+        f"lower={'none' if vi['lower'] is None else _fmt(vi['lower'])}, "
+        f"tol={_fmt(vi['tol'])})",
     ])
 
 
@@ -507,7 +483,6 @@ def _stored_block(parent: dict, key: str) -> dict:
 
 def cmd_check(args) -> int:
     problem, _ = _build_problem(args)
-    probe = None
     if args.report:
         with open(args.report) as fh:
             rep = json.load(fh)
@@ -517,12 +492,10 @@ def cmd_check(args) -> int:
         # an explicit --tau wins, as --kkt-tol does
         tau = float(_number(fp_stored, "tau", 1.0) if args.tau is None
                     else args.tau)
-        if "vi_probe" in stored:  # a report written before the exact VI gap
-            vi_stored = _stored_block(stored, "vi_probe")
-            probe = (int(_number(vi_stored, "samples", 1000)),
-                     int(_number(vi_stored, "seed", 0)))
-        else:
-            vi_stored = _stored_block(stored, "vi_gap")
+        # a report written before the exact VI gap holds a sampled
+        # vi_probe block instead; the gap is taken at its radius
+        vi_stored = _stored_block(
+            stored, "vi_probe" if "vi_probe" in stored else "vi_gap")
         radius = float(_number(vi_stored, "radius", args.vi_radius))
         lam = _number(_stored_block(rep, "problem"), "lambda")
         if lam is not None and getattr(args, "lam", None) is None:
@@ -534,29 +507,20 @@ def cmd_check(args) -> int:
     else:
         raise ValidationError("give --report or --beta")
 
-    if probe is None:
-        check_radius(radius)
-    else:
-        check_probe_settings(probe[0], radius, probe[1])
-    certs = _certificates(problem, beta, tau, radius, args.vi_tol, probe)
+    check_radius(radius)
+    certs = _certificates(problem, beta, tau, radius, args.vi_tol)
     print(_certificates_text(certs))
 
     failures = []
-    if certs.get("fixed_point") is not None:
-        fp = certs["fixed_point"]["residual"]
-        if fp > args.fp_tol:
-            failures.append(("fixed-point", fp))
-    if certs.get("kkt") is not None:
-        kkt = certs["kkt"]["max_residual"]
+    fp, kkt, vi = certs["fixed_point"], certs["kkt"], certs["vi_gap"]
+    if fp is not None and fp["residual"] > args.fp_tol:
+        failures.append(("fixed-point", fp["residual"]))
+    if kkt is not None:
         kkt_tol = args.fp_tol / tau if args.kkt_tol is None else args.kkt_tol
-        if kkt > kkt_tol:
-            failures.append(("kkt", kkt))
-    vi = certs.get("vi_gap")
+        if kkt["max_residual"] > kkt_tol:
+            failures.append(("kkt", kkt["max_residual"]))
     if vi is not None and not vi["passed"]:
         failures.append(("vi-gap", vi["value"]))
-    vi = certs.get("vi_probe")
-    if vi is not None and not vi["passed"]:
-        failures.append(("vi-probe", vi["worst"]))
     if failures:
         name, value = max(failures, key=lambda f: abs(f[1]))
         print(f"FAILED: worst violation in {name} certificate ({_fmt(value)})")

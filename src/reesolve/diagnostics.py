@@ -75,7 +75,8 @@ def fixed_point_residual(problem: EstimatingProblem, beta, tau: float) -> float:
     beta = as_coefficients(beta, problem.u.dim)
     step = prox(problem.penalty, beta - tau * evaluate(problem.u, beta),
                 tau * problem.lam)
-    return float(np.linalg.norm(step - beta))
+    with np.errstate(over="ignore"):  # a residual past the float range is inf
+        return float(np.linalg.norm(step - beta))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def _omega_rows(spec: PenaltySpec, Z: np.ndarray) -> np.ndarray:
         f"no row evaluator for {type(spec).__name__}")
 
 
-# one slot: a path probes every lambda with the same (read-only) draw
+# one slot: the solves of one problem probe it with the same (read-only) draw
 @lru_cache(maxsize=1)
 def _draw_offsets(seed: int, samples: int, radius: float, p: int) -> np.ndarray:
     """``samples`` points uniform in the p-ball of ``radius``, as offsets."""
@@ -239,22 +240,6 @@ def _row_blocks(samples: int, p: int):
         start = stop
 
 
-def check_probe_settings(samples: int, radius: float,
-                         seed: int) -> tuple[int, float, int]:
-    """:func:`vi_probe`'s settings as ``(int, float, int)``: an integer
-    ``samples >= 1``, a positive finite real ``radius`` and a non-negative
-    integer ``seed`` (numpy integers and bools count). Anything else raises
-    :class:`ValidationError`."""
-    if not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValidationError(
-            f"samples must be >= 1 (an integer), got {samples!r}")
-    radius = check_radius(radius)
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(
-            f"seed must be a non-negative integer, got {seed!r}")
-    return int(samples), radius, int(seed)
-
-
 def check_radius(radius) -> float:
     """A VI certificate's radius as a float: a positive finite real, else
     :class:`ValidationError`."""
@@ -276,17 +261,26 @@ def vi_probe(problem: EstimatingProblem, beta_hat, samples: int,
     the most negative value found is at least ``-tol``; a value that
     overflows reads nan and fails, without a warning.
 
-    :func:`check_probe_settings` checks the settings; the seed is an
-    integer. The random offsets added to ``bh`` depend only on ``(seed,
-    samples, radius, p)``, so probes that share them (every lambda of a
-    path) reuse one draw. The last draw stays cached between calls: one
-    read-only ``samples x p`` float64 matrix, 3.2 MB for 1000 samples at
-    p=400. The points ``bh + offset`` are formed and valued a block of rows
-    at a time (about 1 MB each), so a probe's temporaries stay at that size
-    whatever ``samples`` is, and the worst point is rebuilt from its offset.
-    Every value matches a probe over the whole matrix bit for bit.
+    ``samples`` is an integer >= 1, ``radius`` passes :func:`check_radius`
+    and ``seed`` is a non-negative integer (numpy integers and bools count);
+    anything else raises :class:`ValidationError`. The random offsets added
+    to ``bh`` depend only on ``(seed, samples, radius, p)``, so probes that
+    share them (solves of one problem by two methods) reuse one draw. The
+    last draw stays cached between calls: one read-only ``samples x p``
+    float64 matrix, 3.2 MB for 1000 samples at p=400. The points
+    ``bh + offset`` are formed and valued a block of rows at a time (about
+    1 MB each), so a probe's temporaries stay at that size whatever
+    ``samples`` is, and the worst point is rebuilt from its offset. Every
+    value matches a probe over the whole matrix bit for bit.
     """
-    samples, radius, seed = check_probe_settings(samples, radius, seed)
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValidationError(
+            f"samples must be >= 1 (an integer), got {samples!r}")
+    radius = check_radius(radius)
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    samples, seed = int(samples), int(seed)
     beta_hat = as_coefficients(beta_hat, problem.u.dim)
     offsets = _draw_offsets(seed, samples, radius, beta_hat.size)
 
@@ -430,26 +424,42 @@ def _kinked_witness(point, beta: np.ndarray, radius: float,
     return beta + d_lo + _sphere_step(d_lo, step, radius, t_max) * step
 
 
-def _searched_witness(point, beta: np.ndarray, radius: float, tau: float,
-                      tau_max: float) -> np.ndarray:
-    """The witness for the other penalties. ``d(tau)`` is nondecreasing and
-    ``d(tau)/tau`` nonincreasing, so ``tau*radius/d(tau)`` never passes the
-    root: steps of at least 2 bracket it, then regula falsi (Illinois)
-    closes in from below. A distance still short of ``radius`` at
-    ``tau_max`` gives the point there, the limit point up to the
-    search's precision."""
+# the allowance for rounding: of the derived tolerance in the value, per
+# unit of sqrt(p) * (R*||U|| + lam*(|Omega(witness)| + |Omega(bh)|)), and
+# of the searched witness's stationarity defect, per unit of ||U||
+_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
+def _searched_witness(point, beta: np.ndarray, radius: float,
+                      norm_u: float) -> np.ndarray:
+    """The witness for the other penalties; ``norm_u`` is ``||U(bh)||``
+    (or 1 when it is 0). ``d(tau)`` is nondecreasing and ``d(tau)/tau``
+    nonincreasing, so ``tau*radius/d(tau)`` never passes the root: steps
+    of at least 2 from ``radius/norm_u`` bracket it, then regula falsi
+    (Illinois) closes in from below.
+
+    A point inside the ball ends the search when ``d/tau`` falls to the
+    rounding of U. The prox's optimality condition puts ``-U(bh)`` within
+    ``d/tau`` of ``lam*dOmega(x)``, so by convexity no point of the ball
+    beats ``phi(x)`` by more than ``(d/tau)*(radius + d)``: x is the
+    limit of a path that stays inside the ball, to rounding. The motion of
+    the point cannot decide this, as a group can sit at zero for a range
+    of tau and move again. ``d/tau`` falls at least like ``1/tau``, so the
+    search ends after a bounded number of steps; an overflowing step gives
+    the last point inside the ball."""
     lo, x_lo, d_lo = 0.0, beta, 0.0
+    tau = radius / norm_u
     while True:
         x = point(tau)
         d = float(np.linalg.norm(x - beta))
-        if not d <= radius:
-            break
-        lo, x_lo, d_lo = tau, x, d
-        if tau >= tau_max:
+        if not d == d:  # overflow: no representable point past x_lo
             return x_lo
-        tau = min(tau * (max(2.0, radius / d) if d > 0.0 else 2.0), tau_max)
-    if not d == d:  # overflow: no representable witness
-        return x
+        if d > radius:
+            break
+        if d <= _ROUNDING * norm_u * tau:
+            return x
+        lo, x_lo, d_lo = tau, x, d
+        tau *= max(2.0, radius / d)
     hi, f_lo, f_hi, side = tau, d_lo - radius, d - radius, 0
     for _ in range(64):
         if -f_lo <= 1e-13 * radius or hi - lo <= 1e-15 * hi:
@@ -472,12 +482,6 @@ def _searched_witness(point, beta: np.ndarray, radius: float, tau: float,
     return x_lo
 
 
-# the searched step stops where ||tau * U|| reaches this multiple of
-# ||bh|| + R: beyond it the prox of bh - tau*U rounds off more of the point
-# than the limit it approaches still gains
-_SEARCH_REACH = 2.0 ** 16
-
-
 def _witness(pen: PenaltySpec, point, beta: np.ndarray, u: np.ndarray,
              lam: float, radius: float) -> np.ndarray:
     """The point attaining :func:`vi_gap`'s value: from the kinks of
@@ -485,11 +489,8 @@ def _witness(pen: PenaltySpec, point, beta: np.ndarray, u: np.ndarray,
     weights = _l1_l2_weights(pen)
     is_box = isinstance(pen, BallIndicator) and pen.ball.norm == "box"
     if weights is None and not is_box:
-        norm_u = float(np.linalg.norm(u)) or 1.0
-        reach = (float(np.linalg.norm(beta)) + radius) / norm_u
         return _searched_witness(point, beta, radius,
-                                 min(radius / norm_u, reach),
-                                 _SEARCH_REACH * reach)
+                                 float(np.linalg.norm(u)) or 1.0)
     with np.errstate(divide="ignore"):
         if is_box:
             c = 0.0
@@ -502,11 +503,6 @@ def _witness(pen: PenaltySpec, point, beta: np.ndarray, u: np.ndarray,
     kinks = np.concatenate(kinks) if kinks else np.empty(0)
     kinks = np.unique(kinks[np.isfinite(kinks) & (kinks > 0.0)])
     return _kinked_witness(point, beta, radius, kinks, c)
-
-
-# the derived tolerance's allowance for rounding in the value, per unit of
-# sqrt(p) * (R*||U|| + lam*(|Omega(witness)| + |Omega(bh)|))
-_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 def vi_gap(problem: EstimatingProblem, beta, radius: float,
@@ -531,8 +527,10 @@ def vi_gap(problem: EstimatingProblem, beta, radius: float,
     weight) between the kinks ``bh_j/(U_j +- lam)`` (box: where a
     coordinate meets its bound), so a binary search over the sorted kinks
     and one quadratic give t exactly. Other penalties bracket t and close
-    in by regula falsi through the prox; balls use the projection. The
-    witness lies within R.
+    in by regula falsi through the prox (balls use the projection); a
+    point inside the ball whose own stationarity defect, at most
+    ``d(t)/t``, is below the rounding of U ends that search as the limit.
+    The witness lies within R.
 
     *The lower bound.* For every ``g`` in ``lam*dOmega(bh)`` (for a ball,
     the normal cone), ``phi(x) >= (U(bh) + g)^T (x - bh) >= -R*||U(bh) + g||``,

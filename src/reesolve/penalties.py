@@ -195,16 +195,18 @@ def project_ball(ball: BallConstraint, y) -> np.ndarray:
         return y.copy()
     if r == 0.0:
         return np.zeros_like(y)
-    mags = np.sort(np.abs(y))[::-1]
-    css = np.cumsum(mags)
-    ks = np.arange(1, y.size + 1)
-    candidates = (css - r) / ks
-    above = np.nonzero(mags > candidates)[0]
-    # index 0 always qualifies in exact arithmetic; when r is below the
-    # rounding unit of the largest magnitude, no index does in floating point
-    rho = int(above.max()) if above.size else 0
-    theta = candidates[rho]
-    return soft_threshold(y, theta)
+    # with the gaps g = max|y| - |y| sorted ascending, the threshold is
+    # max|y| - top for top = (g[0] + ... + g[j] + r)/(j + 1), j the last
+    # index with (j+1)*g[j] - (g[0] + ... + g[j]) < r (index 0 always
+    # qualifies). A kept coordinate is top minus its gap, not |y_i| minus
+    # the threshold, which rounds to max|y| when max|y| is far above r
+    mags = np.abs(y)
+    gaps = mags.max() - mags
+    g = np.sort(gaps)
+    sums = np.cumsum(g)
+    j = int(np.flatnonzero(np.arange(1, y.size + 1) * g - sums < r)[-1])
+    top = (sums[j] + r) / (j + 1)
+    return np.sign(y) * np.maximum(top - gaps, 0.0)
 
 
 def scad_derivative(t, lam: float, a: float):

@@ -173,41 +173,44 @@ def _first_order_loop(method: str, problem: EstimatingProblem,
     run = _Run(method, config, beta)
     status, t, r0 = SolverStatus.MAX_ITER_REACHED, None, math.inf
     u_fn, pen, lam = problem.u, problem.penalty, problem.lam
-    try:
-        u = evaluate(u_fn, beta)
-        steps = make_steps(beta, u)
-        beta, t, theta = next(steps)
-        fb = prox(pen, beta - t * u, t * lam)
-        r0 = _norm(fb - beta)
-        if r0 <= config.tol:
-            return run.report(SolverStatus.CONVERGED, beta, r0, t)
-        for _ in range(config.max_iter):
-            beta, t, theta = steps.send((u, fb))
-            u = u_fn(beta)
-            fb = _prox(pen, beta - t * u, t * lam)
-            r = _norm(fb - beta)
-            # NaN fails the test, so a non-finite beta or U(beta) stops here
-            if not r <= DIVERGENCE_RESIDUAL:
-                status = SolverStatus.DIVERGED
-                break
-            run.record(r, t, beta, theta)
-            if r <= config.tol:
-                status = SolverStatus.CONVERGED
-                break
-    except NonFiniteOutputError:
-        status = SolverStatus.DIVERGED
-    if final_prox_image and status is not SolverStatus.DIVERGED:
+    # an overflow ends the run as diverged; numpy prints no warning for it
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            f_next = prox(problem.penalty, fb - t * evaluate(problem.u, fb),
-                          t * problem.lam)
-            r_next = _norm(f_next - fb)
-            if r_next <= config.tol or status is SolverStatus.MAX_ITER_REACHED:
-                run.record(r_next, t, fb)
-                beta = fb
-                if r_next <= config.tol:
+            u = evaluate(u_fn, beta)
+            steps = make_steps(beta, u)
+            beta, t, theta = next(steps)
+            fb = prox(pen, beta - t * u, t * lam)
+            r0 = _norm(fb - beta)
+            if r0 <= config.tol:
+                return run.report(SolverStatus.CONVERGED, beta, r0, t)
+            for _ in range(config.max_iter):
+                beta, t, theta = steps.send((u, fb))
+                u = u_fn(beta)
+                fb = _prox(pen, beta - t * u, t * lam)
+                r = _norm(fb - beta)
+                # NaN fails the test, so a non-finite beta or U(beta)
+                # stops here
+                if not r <= DIVERGENCE_RESIDUAL:
+                    status = SolverStatus.DIVERGED
+                    break
+                run.record(r, t, beta, theta)
+                if r <= config.tol:
                     status = SolverStatus.CONVERGED
+                    break
         except NonFiniteOutputError:
-            pass
+            status = SolverStatus.DIVERGED
+        if final_prox_image and status is not SolverStatus.DIVERGED:
+            try:
+                f_next = prox(pen, fb - t * evaluate(u_fn, fb), t * lam)
+                r_next = _norm(f_next - fb)
+                cut = status is SolverStatus.MAX_ITER_REACHED
+                if r_next <= config.tol or cut:
+                    run.record(r_next, t, fb)
+                    beta = fb
+                    if r_next <= config.tol:
+                        status = SolverStatus.CONVERGED
+            except NonFiniteOutputError:
+                pass
     return run.report(status, beta, r0, t)
 
 
@@ -487,52 +490,53 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
             b[np.abs(b) < config.zero_threshold] = 0.0
         return run.report(status, b, r0, None)
 
-    try:
-        w = weights(beta)
-        q = evaluate(u_fn, beta) + w * beta
-    except NonFiniteOutputError:
-        return run.report(SolverStatus.DIVERGED, beta, math.inf, None)
-    r0 = _norm(q)
-    if r0 <= config.tol:
-        return finish(SolverStatus.CONVERGED, beta, r0)
-
-    status = SolverStatus.MAX_ITER_REACHED
-    diag_idx = slice(0, p * p, p + 1)
-    for _ in range(config.max_iter):
-        # analytic when U has one, else finite differences on opt-in, whose
-        # probe points can meet a non-finite U; copied, because U may hand
-        # out a cached matrix
+    # an overflow ends the run as diverged; numpy prints no warning for it
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            M = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian).copy()
+            w = weights(beta)
+            q = evaluate(u_fn, beta) + w * beta
         except NonFiniteOutputError:
-            status = SolverStatus.DIVERGED
-            break
-        M.flat[diag_idx] += w
-        try:
-            # the update is written with an explicit inverse; forming it is
-            # the p**3 factorization cost this baseline is known for
-            M_inv = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            run.flags = run.flags + ("singular-system",)
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-        # an overflowing step is caught just below as diverged
-        with np.errstate(over="ignore", invalid="ignore"):
+            return run.report(SolverStatus.DIVERGED, beta, math.inf, None)
+        r0 = _norm(q)
+        if r0 <= config.tol:
+            return finish(SolverStatus.CONVERGED, beta, r0)
+
+        status = SolverStatus.MAX_ITER_REACHED
+        diag_idx = slice(0, p * p, p + 1)
+        for _ in range(config.max_iter):
+            # analytic when U has one, else finite differences on opt-in,
+            # whose probe points can meet a non-finite U; copied, because U
+            # may hand out a cached matrix
+            try:
+                M = jacobian(u_fn, beta,
+                             allow_fd=config.allow_fd_jacobian).copy()
+            except NonFiniteOutputError:
+                status = SolverStatus.DIVERGED
+                break
+            M.flat[diag_idx] += w
+            try:
+                # the update is written with an explicit inverse; forming it
+                # is the p**3 factorization cost this baseline is known for
+                M_inv = np.linalg.inv(M)
+            except np.linalg.LinAlgError:
+                run.flags = run.flags + ("singular-system",)
+                status = SolverStatus.NUMERICAL_FAILURE
+                break
             beta = beta - M_inv @ q
-        if not np.all(np.isfinite(beta)):
-            status = SolverStatus.DIVERGED
-            break
-        u_val = u_fn(beta)
-        w = weights(beta)
-        q = u_val + w * beta
-        r = _norm(q)
-        if not r <= DIVERGENCE_RESIDUAL:
-            status = SolverStatus.DIVERGED
-            break
-        run.record(r, 1.0, beta)
-        if r <= config.tol:
-            status = SolverStatus.CONVERGED
-            break
+            if not np.all(np.isfinite(beta)):
+                status = SolverStatus.DIVERGED
+                break
+            u_val = u_fn(beta)
+            w = weights(beta)
+            q = u_val + w * beta
+            r = _norm(q)
+            if not r <= DIVERGENCE_RESIDUAL:
+                status = SolverStatus.DIVERGED
+                break
+            run.record(r, 1.0, beta)
+            if r <= config.tol:
+                status = SolverStatus.CONVERGED
+                break
     return finish(status, beta, r0)
 
 
@@ -699,8 +703,11 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     solve: an empty, non-decreasing or invalid grid raises
     :class:`ValidationError` and nothing is solved. Warm starting (default)
     initializes each solve at the previous lambda's solution; cold starting
-    reuses ``init`` for every lambda. A lambda whose solve raises is
-    recorded with a numerical-failure report and the sweep continues.
+    reuses ``init`` for every lambda. A solve that raises (a configuration
+    the method cannot run, such as gra-fixed on a U without a Lipschitz
+    bound) ends the sweep with that error, as :func:`run_solver` would;
+    a solve that diverges or fails numerically is recorded with its status
+    and the sweep continues.
 
     Warm paths are screened after the first lambda when U offers
     ``restrict`` (the built-in linear, least-squares and logistic U) and the
@@ -730,18 +737,11 @@ def solve_path(problem: EstimatingProblem, lambdas: Sequence[float],
     u_current = None  # U(current) while screening, None when unusable
     entries: list[PathEntry] = []
     for i, sub in enumerate(subs):
-        try:
-            if u_current is not None:
-                report = _screened_solve(sub, config, method, current,
-                                         u_current, lams[i - 1])
-            else:
-                report = run_solver(sub, config, current, method)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            report = SolverReport(
-                method=method, status=SolverStatus.NUMERICAL_FAILURE,
-                solution=current.copy(), trace=[],
-                initial_residual=math.inf, config=config,
-                flags=(f"error:{type(exc).__name__}",))
+        if u_current is not None:
+            report = _screened_solve(sub, config, method, current,
+                                     u_current, lams[i - 1])
+        else:
+            report = run_solver(sub, config, current, method)
         entries.append(PathEntry(sub.lam, report))
         if warm_start and np.all(np.isfinite(report.solution)):
             current = report.solution.copy()

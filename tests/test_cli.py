@@ -158,23 +158,22 @@ def test_malformed_problem_document_exits_2(lasso_files, capsys, field, value):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def _as_old_report(report: dict) -> dict:
+def _as_old_report(report: dict, radius: float = 1.0) -> dict:
     """``report`` with its VI block as reports held it before the exact VI
     gap: a sampled ``vi_probe`` block with the old default settings."""
     certs = report["certificates"]
     del certs["vi_gap"]
-    certs["vi_probe"] = {"samples": 1000, "radius": 1.0, "seed": 0,
+    certs["vi_probe"] = {"samples": 1000, "radius": radius, "seed": 0,
                          "worst": 0.5, "passed": True}
     return report
 
 
-# the samples and seed cases plant an old report's vi_probe block
+# the old-radius case plants an old report's vi_probe block
 @pytest.mark.parametrize("block, key", [
     (("problem",), "lambda"), (("certificates", "fixed_point"), "tau"),
-    (("certificates", "vi_probe"), "samples"),
     (("certificates", "vi_gap"), "radius"),
-    (("certificates", "vi_probe"), "seed")],
-    ids=["lambda", "tau", "samples", "radius", "seed"])
+    (("certificates", "vi_probe"), "radius")],
+    ids=["lambda", "tau", "radius", "old-radius"])
 def test_check_rejects_a_json_boolean_in_the_report(lasso_files, capsys,
                                                     block, key):
     tmp, xp, yp, lam = lasso_files
@@ -745,6 +744,23 @@ def test_vi_gap_alone_rejects_a_moved_solution(tmp_path, capsys, penalty):
     assert "FAILED: worst violation in vi-gap certificate" in text
 
 
+def test_old_report_is_checked_by_the_vi_gap_at_its_radius(tmp_path,
+                                                          capsys):
+    # a report written before the exact VI gap holds a sampled vi_probe
+    # block; check takes the gap at that block's radius and ignores the
+    # stored verdict, so the moved solution fails on the gap alone
+    out, problem = _moved_report(tmp_path, "lasso", 1e-3)
+    out.write_text(json.dumps(
+        _as_old_report(json.loads(out.read_text()), radius=0.5)))
+    capsys.readouterr()
+    assert main(["check", "--report", str(out), "--fp-tol", "1",
+                 "--kkt-tol", "1e3"] + problem) == 1
+    text = capsys.readouterr().out
+    assert "vi gap: FAIL (radius=0.5, value=" in text
+    assert "vi probe" not in text
+    assert "FAILED: worst violation in vi-gap certificate" in text
+
+
 @pytest.mark.parametrize("vi_tol, verdict, code", [
     ("loose", "pass", 0), ("tight", "FAIL", 1),
 ], ids=["loose", "tight"])
@@ -822,8 +838,29 @@ def test_path_screened_reports_certify_the_full_problem(tmp_path):
 
 
 def test_path_exits_1_when_lambdas_fail(tmp_path, capsys):
-    # logistic U declares no Lipschitz bound, so gra-fixed fails on every
-    # lambda; solve_path records the failures and the command reports them
+    # U = -beta: picard doubles its point every step, so every lambda ends
+    # diverged; the path records each failure and the command reports them
+    np.savetxt(tmp_path / "A.csv", -np.eye(2), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", np.zeros(2), delimiter=",")
+    np.savetxt(tmp_path / "init.csv", np.ones(2), delimiter=",")
+    out_dir = tmp_path / "path"
+    code = main(["path", "--method", "picard", "--tau", "1",
+                 "--matrix", str(tmp_path / "A.csv"),
+                 "--offset", str(tmp_path / "b.csv"),
+                 "--init", str(tmp_path / "init.csv"),
+                 "--penalty", "lasso", "--lambdas", "0.2,0.1",
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "0 of 2 lambdas solved" in text
+    assert "FAILED: 2 lambdas" in text
+    rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["diverged"] * 2
+
+
+def test_path_rejects_a_bad_configuration_as_solve_does(tmp_path, capsys):
+    # logistic U declares no Lipschitz bound, so gra-fixed cannot run: the
+    # path exits 2 with the solve's error and writes nothing
     rng = np.random.default_rng(102)
     np.savetxt(tmp_path / "X.csv", rng.standard_normal((30, 3)), delimiter=",")
     np.savetxt(tmp_path / "y.csv", (rng.uniform(size=30) < 0.5).astype(float),
@@ -834,12 +871,12 @@ def test_path_exits_1_when_lambdas_fail(tmp_path, capsys):
                  "--design", str(tmp_path / "X.csv"),
                  "--response", str(tmp_path / "y.csv"),
                  "--out-dir", str(out_dir)])
-    assert code == 1
-    text = capsys.readouterr().out
-    assert "0 of 2 lambdas solved" in text
-    assert "FAILED: 2 lambdas" in text
-    rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
-    assert [r.split(",")[-1] for r in rows] == ["numerical_failure"] * 2
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: U has no positive finite "
+                                   "Lipschitz bound")
+    assert not out_dir.exists()
 
 
 def test_path_summary_kkt_reuses_certificates(lasso_files):
@@ -903,8 +940,6 @@ def test_solve_divergent_exits_1(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().out
 
 
-# the solver's own overflow warnings are older than the VI gap
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_run_whose_u_overflows_at_the_prox_image_exits_1(tmp_path,
                                                                   capsys):
     # picard's first step lands at beta = 1 and the run ends diverged there;
@@ -920,6 +955,27 @@ def test_diverged_run_whose_u_overflows_at_the_prox_image_exits_1(tmp_path,
     text = capsys.readouterr().out
     assert "status: diverged" in text
     assert "vi gap: FAIL (" in text and "tol=inf)" in text
+
+
+@pytest.mark.parametrize("method, scale, offset", [
+    ("picard", 1e200, [1.0, 1.0]), ("lqa", 1e-300, [1e300, -1e300]),
+], ids=["picard", "lqa"])
+def test_overflowing_solve_prints_no_warnings(tmp_path, capsys, method,
+                                              scale, offset):
+    # the residual norm of the first point overflows; the run ends
+    # diverged and numpy prints nothing on stderr (the suite also turns a
+    # warning into an error)
+    np.savetxt(tmp_path / "A.csv", scale * np.eye(2), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", offset, delimiter=",")
+    code = main(["solve", "--method", method,
+                 "--matrix", str(tmp_path / "A.csv"),
+                 "--offset", str(tmp_path / "b.csv"),
+                 "--penalty", "lasso", "--lambda", "0", "--tau", "1",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "status: diverged" in captured.out
+    assert captured.err == ""
 
 
 def _overflowing_lqa(tmp_path):
@@ -1009,13 +1065,12 @@ def test_path_non_finite_solutions_write_every_report(tmp_path, capsys):
     {"certificates": {"vi_gap": True}}, {"certificates": {"vi_gap": [1]}},
     {"certificates": {"vi_gap": "x"}},
     {"problem": True}, {"problem": [1]}, {"problem": "x"},
-    {"certificates": {"vi_probe": {"samples": math.inf}}},
-    {"certificates": {"vi_probe": {"seed": -math.inf}}},
     {"certificates": {"vi_gap": {"radius": math.inf}}},
+    {"certificates": {"vi_probe": {"radius": math.inf}}},
 ], ids=["certs-true", "certs-list", "certs-str", "fp-true", "fp-list",
         "fp-str", "vi-true", "vi-list", "vi-str", "gap-true", "gap-list",
         "gap-str", "problem-true", "problem-list", "problem-str",
-        "samples-1e400", "seed-minus-1e400", "radius-1e400"])
+        "radius-1e400", "old-radius-1e400"])
 def test_malformed_report_exits_2(lasso_files, capsys, patch):
     tmp, xp, yp, lam = lasso_files
     out = tmp / "report.json"
@@ -1023,7 +1078,7 @@ def test_malformed_report_exits_2(lasso_files, capsys, patch):
     assert main(["solve", "--lambda", str(lam), "--out", str(out)]
                 + problem) == 0
     report = json.loads(out.read_text())
-    # the samples and seed cases patch an old report's vi_probe block
+    # the vi and old-radius cases patch an old report's vi_probe block
     if "vi_probe" in str(patch):
         report = _as_old_report(report)
     for field, value in patch.items():

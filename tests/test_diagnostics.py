@@ -458,13 +458,71 @@ class TestViGap:
         def point(t):
             return diagnostics._prox(penalty, beta - t * u_hat, t * 0.4)
 
-        reach = (np.linalg.norm(beta) + radius) / np.linalg.norm(u_hat)
         searched = diagnostics._searched_witness(
-            point, beta, radius, radius / np.linalg.norm(u_hat),
-            diagnostics._SEARCH_REACH * reach)
+            point, beta, radius, np.linalg.norm(u_hat))
         assert gap.value == pytest.approx(_phi(prob, beta, searched),
                                           rel=1e-9, abs=1e-12)
         assert np.linalg.norm(gap.witness - beta) <= radius * (1 + 1e-12)
+
+    def test_searched_witness_reaches_the_sphere(self):
+        # a km solution of a group lasso to tol 1e-6: its prox path x(t)
+        # moves slowly, like t times the KKT violation, and the witness
+        # still lies on the sphere, below the value where a search capped
+        # at ||t*U|| = 2**16*(||bh|| + R) stopped
+        rng = np.random.default_rng([0, 2, 0])
+        X = rng.standard_normal((40, 20)) / math.sqrt(40)
+        truth = np.zeros(20)
+        g = rng.choice(4)
+        truth[5 * g:5 * g + 5] = rng.standard_normal(5)
+        u = LeastSquaresEstimating(X, X @ truth + 0.1 * rng.standard_normal(40))
+        u0 = u(np.zeros(20))
+        lam = 0.25 * max(np.linalg.norm(u0[i:i + 5]) for i in range(0, 20, 5))
+        part = GroupPartition([range(i, i + 5) for i in range(0, 20, 5)])
+        prob = EstimatingProblem(u=u, penalty=GroupLasso(part), lam=lam)
+        beta = solve_km(prob, SolverConfig(tol=1e-6), np.zeros(20)).solution
+        gap = vi_gap(prob, beta, 1.0)
+        assert np.linalg.norm(gap.witness - beta) == pytest.approx(1.0,
+                                                                   abs=1e-9)
+        u_hat = u(beta)
+        t = 2.0 ** 16 * (np.linalg.norm(beta) + 1.0) / np.linalg.norm(u_hat)
+        capped = prox(prob.penalty, beta - t * u_hat, t * lam)
+        assert gap.lower <= gap.value < _phi(prob, beta, capped)
+
+    def test_search_passes_a_stretch_at_zero(self):
+        # a one-coordinate group lasso with U = 1.5, lam = 1, bh = 0.5:
+        # x(t) = soft(0.5 - 1.5t, t) sits at 0 for t in [0.2, 1] and then
+        # moves on, so W(0.6) = phi(-0.1) = -1.3, not phi(0) = -1.25
+        u = LinearEstimating(np.zeros((1, 1)), np.array([-1.5]))
+        prob = EstimatingProblem(
+            u=u, penalty=GroupLasso(GroupPartition([[0]])), lam=1.0)
+        gap = vi_gap(prob, [0.5], 0.6, tol=0.0)
+        assert gap.value == pytest.approx(-1.3, rel=1e-12)
+        assert gap.witness == pytest.approx([-0.1], rel=1e-12)
+
+    @pytest.mark.parametrize("penalty, limit", [
+        (Ridge(), lambda u: -u / 0.8),
+        (BallIndicator(BallConstraint("l2", radius=2.0)),
+         lambda u: -2.0 * u / np.linalg.norm(u)),
+    ], ids=["ridge", "l2-ball"])
+    def test_search_stops_at_a_limit_inside_the_ball(self, penalty, limit):
+        # x(t) converges like 1/t to a limit inside the ball of radius 50:
+        # the search ends there after a bounded number of prox calls,
+        # without overflowing (the suite turns warnings into errors)
+        rng = np.random.default_rng(16)
+        M = rng.standard_normal((30, 30))
+        u = LinearEstimating(M @ M.T / 30, rng.standard_normal(30))
+        beta = np.zeros(30)
+        u_hat = u(beta)
+        calls = []
+
+        def point(t):
+            calls.append(t)
+            return diagnostics._prox(penalty, beta - t * u_hat, t * 0.4)
+
+        witness = diagnostics._searched_witness(point, beta, 50.0,
+                                                np.linalg.norm(u_hat))
+        assert len(calls) <= 64
+        assert np.linalg.norm(witness - limit(u_hat)) <= 1e-6
 
     def test_scad_is_unsupported(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=15)
@@ -522,14 +580,13 @@ def _gap_problems(draw):
     """A random monotone linear U (PSD plus skew), any convex penalty and an
     arbitrary candidate (projected onto the set for a ball).
 
-    The PSD part is absent or at least 0.1 of its draw: a tiny nonzero L
-    makes tau = 1/L so large that the l1 ball's projection of
-    ``bh - tau*U`` rounds to 0, which no certificate can repair."""
+    The PSD part may be tiny: tau = 1/L then puts ``bh - tau*U`` far
+    beyond the l1 ball, whose projection must still keep the radius."""
     p = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = rng.standard_normal((p, p))
     Z = rng.standard_normal((p, p))
-    psd = draw(st.just(0.0) | st.floats(0.1, 1.0))
+    psd = draw(st.just(0.0) | st.floats(1e-20, 1e-12) | st.floats(0.0, 1.0))
     A = psd * M @ M.T / p + (Z - Z.T) / p
     u = LinearEstimating(A, rng.standard_normal(p))
     cuts = sorted(set(rng.integers(1, p, size=p // 2))) if p > 1 else []

@@ -319,6 +319,30 @@ class TestProjectBall:
         got = project_ball(BallConstraint("l1", 1.0), [1e17, 0.0, 0.0])
         assert np.abs(got).sum() <= 1.0
 
+    @pytest.mark.parametrize("y, expected", [
+        ([6.3e16], [1.0]), ([1e17, 3.0], [1.0, 0.0]),
+        ([-1e17, 1e17, 2.0], [-0.5, 0.5, 0.0]),
+    ])
+    def test_l1_huge_input_keeps_the_radius(self, y, expected):
+        # max|y| - r rounds to max|y| here; the kept coordinates still
+        # carry the whole radius
+        np.testing.assert_array_equal(
+            project_ball(BallConstraint("l1", 1.0), y), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=arrays(np.float64, st.integers(1, 8),
+                    elements=st.floats(-1.0, 1.0)),
+           exponent=st.floats(0.0, 300.0))
+    def test_l1_mass_is_the_radius_at_every_scale(self, v, exponent):
+        y = v * 10.0 ** exponent
+        x = project_ball(BallConstraint("l1", 1.0), y)
+        mass = np.abs(x).sum()
+        rounding = 4 * y.size * np.finfo(float).eps
+        assert mass <= 1.0 + rounding
+        assert mass == pytest.approx(min(1.0, np.abs(y).sum()),
+                                     rel=rounding)
+        assert np.all(x * y >= 0.0)
+
     def test_l1_projection_variational_inequality(self):
         # (y - x)^T (z - x) <= 0 for all feasible z characterizes projections
         rng = np.random.default_rng(17)

@@ -873,12 +873,30 @@ class TestPath:
         assert calls == []
 
     def test_failures_recorded_not_raised(self):
-        u = CustomEstimating(2, lambda b: b)  # no Lipschitz, no tau given
+        # U = -beta: picard at tau = 1 doubles its point every step, so
+        # every lambda ends diverged, and the sweep goes on past each
+        u = CustomEstimating(2, lambda b: -b)
         prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.5)
-        entries = solve_path(prob, [0.5, 0.25], SolverConfig(tol=1e-9))
+        entries = solve_path(prob, [0.5, 0.25], SolverConfig(tau=1.0),
+                             method="picard", init=np.ones(2))
         assert len(entries) == 2
-        assert all(e.report.status is SolverStatus.NUMERICAL_FAILURE
-                   for e in entries)
+        assert all(e.report.status is SolverStatus.DIVERGED for e in entries)
+
+    def test_a_solve_that_raises_ends_the_sweep(self):
+        # no Lipschitz bound and no tau: the solve's error propagates, as
+        # from run_solver, and nothing is recorded
+        calls = []
+
+        def counted(b):
+            calls.append(1)
+            return b
+
+        u = CustomEstimating(2, counted)
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.5)
+        with pytest.raises(ValidationError, match="no positive finite "
+                                                  "Lipschitz bound"):
+            solve_path(prob, [0.5, 0.25], SolverConfig(tol=1e-9))
+        assert calls == []
 
 
 def _warm_loop(problem, lambdas, config, method):
