@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -588,13 +589,33 @@ def _bench_cell(cell: dict) -> dict:
     return row
 
 
+def _openblas_threads():
+    """The set and get thread-count functions of the OpenBLAS that numpy's
+    linear algebra links (numpy wheels bundle a scipy-openblas build), or
+    None when that BLAS exports neither name."""
+    from numpy.linalg import _umath_linalg
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+            get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+            return set_threads, get_threads
+    return None
+
+
 def bench_rows(manifest: dict) -> list[dict]:
     """Expand a benchmark manifest into its cell matrix and run every cell.
 
-    Cells run one after another. BLAS pools are pinned to one thread when
-    ``threadpoolctl`` is importable; each row's ``blas_pinned`` records
-    whether that pin was applied. Without threadpoolctl, set
-    ``OPENBLAS_NUM_THREADS=1`` before the run instead.
+    Cells run one after another, with numpy's OpenBLAS set to one thread
+    and set back to its previous count afterwards. Each row's
+    ``blas_pinned`` is true only when the library reads back one thread;
+    with another BLAS it is false, and the thread count is set in the
+    environment before the run instead.
     """
     def listify(v):
         return v if isinstance(v, list) else [v]
@@ -614,12 +635,16 @@ def bench_rows(manifest: dict) -> list[dict]:
     def run_cells(pinned: bool) -> list[dict]:
         return [dict(_bench_cell(cell), blas_pinned=pinned) for cell in cells]
 
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
+    blas = _openblas_threads()
+    if blas is None:
         return run_cells(False)
-    with threadpool_limits(limits=1):
-        return run_cells(True)
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        return run_cells(get_threads() == 1)
+    finally:
+        set_threads(before)
 
 
 BENCH_COLUMNS = ("p", "n", "penalty", "solver", "seed", "lambda", "status",

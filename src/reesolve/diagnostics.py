@@ -382,16 +382,23 @@ def _stationarity_distance(pen: PenaltySpec, beta: np.ndarray, u: np.ndarray,
 def _sphere_step(d: np.ndarray, step: np.ndarray, radius: float,
                  t_max: float) -> float:
     """Least ``t >= 0`` with ``||d + t*step|| = radius``, given
-    ``||d|| <= radius``, capped at ``t_max``; 0 when ``step`` is 0."""
-    a = float(step @ step)
-    if not a > 0.0:
+    ``||d|| <= radius``, capped at ``t_max``; 0 when ``step`` is 0.
+
+    The quadratic is solved for ``step`` scaled by a power of two near its
+    largest magnitude, so a step near the float range does not overflow
+    when squared; the scaling, and so ``t``, is exact."""
+    scale = float(np.max(np.abs(step)))
+    if not scale > 0.0:
         return 0.0
+    k = math.frexp(scale)[1]
+    step = np.ldexp(step, -k)
+    a = float(step @ step)
     b = float(d @ step)
     c = min(float(d @ d) - radius * radius, 0.0)
     disc = math.sqrt(b * b - a * c)
     # the two forms of the same root, each free of cancellation on its side
     t = -c / (b + disc) if b > 0.0 else (disc - b) / a
-    return min(t, t_max)
+    return min(math.ldexp(t, -k), t_max)
 
 
 def _kinked_witness(point, beta: np.ndarray, radius: float,

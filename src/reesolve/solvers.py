@@ -18,7 +18,8 @@ Six interchangeable methods over the same problem bundle:
   stepsizes and needs none.
 * ``solve_lqa_newton`` — the classical local-quadratic-approximation Newton
   baseline for elementwise penalties (lasso / SCAD), kept for comparison; it
-  requires Jacobians and inverts a p-by-p matrix every iteration.
+  requires Jacobians and solves a dense p-by-p linear system (one LU
+  factorization, O(p**3)) every iteration.
 
 Every first-order solver terminates on the fixed-point residual computed
 with its own stepsize; LQA terminates on the norm of its modified
@@ -456,12 +457,13 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
 
     Supports only elementwise penalties (lasso or SCAD); the diagonal weights
     ``p'(|beta_j|)/(|beta_j| + epsilon)`` keep zero coordinates updatable.
-    Each step inverts ``J_U(beta) + diag(weights)`` — a dense p-by-p
-    inversion, which is the method's documented cost bottleneck — and the
-    residual is the norm of the modified stationarity vector
-    ``U(beta) + weights * beta``. On termination, coordinates below
-    ``config.zero_threshold`` in magnitude are truncated to exactly zero
-    (the method never produces exact zeros by itself).
+    Each step solves ``(J_U(beta) + diag(weights)) d = q`` for the modified
+    stationarity vector ``q = U(beta) + weights * beta`` by one LU
+    factorization with partial pivoting — dense and O(p**3), which is the
+    method's documented cost bottleneck; not Cholesky, as the Jacobian need
+    not be symmetric. The residual is the norm of ``q``. On termination,
+    coordinates below ``config.zero_threshold`` in magnitude are truncated
+    to exactly zero (the method never produces exact zeros by itself).
     """
     pen = problem.penalty
     if not isinstance(pen, (Lasso, Scad)):
@@ -515,14 +517,13 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
                 break
             M.flat[diag_idx] += w
             try:
-                # the update is written with an explicit inverse; forming it
-                # is the p**3 factorization cost this baseline is known for
-                M_inv = np.linalg.inv(M)
+                # one LU solve (LAPACK gesv); its p**3 factorization is the
+                # cost this baseline is known for. M need not be symmetric
+                beta = beta - np.linalg.solve(M, q)
             except np.linalg.LinAlgError:
                 run.flags = run.flags + ("singular-system",)
                 status = SolverStatus.NUMERICAL_FAILURE
                 break
-            beta = beta - M_inv @ q
             if not np.all(np.isfinite(beta)):
                 status = SolverStatus.DIVERGED
                 break

@@ -1,8 +1,5 @@
-import contextlib
 import json
 import math
-import sys
-import types
 import warnings
 
 import numpy as np
@@ -541,25 +538,29 @@ def _bench_blas_pinned(tmp_path):
             for row in _bench_rows(tmp_path, solver=["picard", "km"])]
 
 
-def test_bench_reports_unpinned_blas_without_threadpoolctl(tmp_path, monkeypatch):
-    # a None entry makes "from threadpoolctl import ..." raise ImportError
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+def test_bench_reports_unpinned_blas_without_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
     assert _bench_blas_pinned(tmp_path) == ["False", "False"]
 
 
-def test_bench_reports_pinned_blas_only_inside_the_limit(tmp_path, monkeypatch):
-    entered = []
+def test_bench_pins_blas_and_restores_the_thread_count(tmp_path, monkeypatch):
+    set_threads, get_threads = cli._openblas_threads()
+    seen = []
 
-    @contextlib.contextmanager
-    def threadpool_limits(limits):
-        entered.append(limits)
-        yield
+    def cell(c, run=cli._bench_cell):
+        seen.append(get_threads())
+        return run(c)
 
-    fake = types.ModuleType("threadpoolctl")
-    fake.threadpool_limits = threadpool_limits
-    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-    assert _bench_blas_pinned(tmp_path) == ["True", "True"]
-    assert entered == [1]
+    monkeypatch.setattr(cli, "_bench_cell", cell)
+    before = get_threads()
+    set_threads(2)  # OpenBLAS may cap this at the number of cores
+    outside = get_threads()
+    try:
+        assert _bench_blas_pinned(tmp_path) == ["True", "True"]
+        assert seen == [1, 1]
+        assert get_threads() == outside
+    finally:
+        set_threads(before)
 
 
 def test_solve_box_constrained(lasso_files, capsys):
@@ -980,7 +981,8 @@ def test_overflowing_solve_prints_no_warnings(tmp_path, capsys, method,
 
 def _overflowing_lqa(tmp_path):
     """LQA's Newton step overflows on U = 1e-300 * I - 1e10: the run ends
-    diverged at [inf, inf]."""
+    diverged at [nan, inf]. The LU back substitution reaches the second
+    coordinate's inf first and then forms 0 * inf for the first one."""
     np.savetxt(tmp_path / "A.csv", 1e-300 * np.eye(2), delimiter=",")
     np.savetxt(tmp_path / "b.csv", np.full(2, 1e10), delimiter=",")
     return ["--matrix", str(tmp_path / "A.csv"),
@@ -996,12 +998,12 @@ def test_solve_non_finite_solution_gets_null_certificates(tmp_path, capsys):
     assert capsys.readouterr().out.count("not applicable") == 3
     report = json.loads(out.read_text())
     assert report["status"] == "diverged"
-    assert report["solution"] == ["inf", "inf"]
+    assert report["solution"] == ["nan", "inf"]
     assert set(report["certificates"].values()) == {None}
 
 
 def test_diverged_report_keeps_its_sentinels(tmp_path):
-    # the compact report of a run that ends at [inf, inf] is still strict
+    # the compact report of a run that ends at [nan, inf] is still strict
     # JSON: non-finite numbers are written as sentinel strings
     out = tmp_path / "r.json"
     assert main(["solve", "--lambda", "1e-300", "--out", str(out)]
@@ -1010,7 +1012,7 @@ def test_diverged_report_keeps_its_sentinels(tmp_path):
     assert "\n" not in text and "NaN" not in text and "Infinity" not in text
     report = json.loads(text)
     assert report["status"] == "diverged"
-    assert report["solution"] == ["inf", "inf"]
+    assert report["solution"] == ["nan", "inf"]
     assert report["trace"]["theta"] == [None] * report["iterations"]
 
 
@@ -1050,7 +1052,7 @@ def test_path_non_finite_solutions_write_every_report(tmp_path, capsys):
     rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[3:] for r in rows] == [["", "diverged"]] * 2
     coefs = (out_dir / "path_coefficients.csv").read_text().strip().splitlines()
-    assert [r.split(",")[1:] for r in coefs[1:]] == [["inf", "inf"]] * 2
+    assert [r.split(",")[1:] for r in coefs[1:]] == [["nan", "inf"]] * 2
 
 
 # patch -> report fields it replaces; a "certificates" dict is merged into

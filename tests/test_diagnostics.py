@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,20 @@ class TestViGap:
         assert gap.value == pytest.approx(-6.0, rel=1e-14)
         assert gap.witness == pytest.approx([-1.0], rel=1e-14)
         assert gap.lower == -8.0
+        assert not gap.passed
+
+    def test_value_stays_finite_when_u_is_near_the_float_range(self):
+        # U(bh) is about (1e200, 1e200): the step toward -U(bh) would
+        # overflow if squared; the witness is bh - (1, 1)/sqrt(2)
+        u = LinearEstimating(1e200 * np.eye(2), np.ones(2))
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.0)
+        bh = np.array([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = vi_gap(prob, bh, 1.0)
+        assert gap.value == pytest.approx(-np.sqrt(2.0) * 1e200, rel=1e-14)
+        assert np.linalg.norm(gap.witness - bh) == pytest.approx(1.0,
+                                                                 rel=1e-14)
         assert not gap.passed
 
     def test_zero_solution_reads_exactly_zero(self):

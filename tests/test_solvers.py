@@ -36,6 +36,7 @@ from reesolve import (
     kkt_residual,
     lambda_max,
     lipschitz_upper_bound,
+    lqa_weight_diag,
     oracle_lasso_cd,
     project_ball,
     run_solver,
@@ -649,6 +650,29 @@ class TestLqaNewton:
         assert rep.status is SolverStatus.NUMERICAL_FAILURE
         assert rep.flags == ("singular-system",)
         assert rep.iterations == 0
+
+    def test_step_solves_the_non_symmetric_system(self):
+        # A has a skew part, so the Newton matrix is not symmetric; a
+        # factorization that reads one triangle takes a different step
+        rng = np.random.default_rng(4)
+        p = 12
+        X = rng.standard_normal((30, p)) / np.sqrt(30)
+        Z = rng.standard_normal((p, p))
+        A = X.T @ X + (Z - Z.T) / np.sqrt(p)
+        u = LinearEstimating(A, rng.standard_normal(p))
+        beta0 = rng.standard_normal(p)
+        lam = 0.1
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=lam)
+        cfg = SolverConfig(max_iter=1, zero_threshold=1e-300)
+        rep = solve_lqa_newton(prob, cfg, beta0)
+        assert rep.iterations == 1
+        w = lqa_weight_diag(Lasso(), beta0, lam, cfg.epsilon_lqa)
+        q = u(beta0) + w * beta0
+        newton = beta0 - np.linalg.inv(A + np.diag(w)) @ q
+        np.testing.assert_allclose(rep.solution, newton, rtol=0, atol=1e-12)
+        sym = (A + A.T) / 2
+        assert np.max(np.abs(beta0 - np.linalg.inv(sym + np.diag(w)) @ q
+                             - newton)) > 0.5
 
     def test_truncation_to_exact_zero(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=12)
