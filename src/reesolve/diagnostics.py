@@ -346,6 +346,21 @@ def _l1_l2_weights(pen: PenaltySpec) -> Optional[tuple[float, float]]:
     return None
 
 
+def _norm(v: np.ndarray) -> float:
+    """``||v||_2``. A norm that overflows is recomputed for ``v`` scaled by
+    a power of two near its largest magnitude, as in :func:`_sphere_step`,
+    so it is inf only when the norm itself is past the float range; every
+    other result is ``np.linalg.norm``'s, bit for bit."""
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf and np.isfinite(v).all():
+        k = math.frexp(float(np.max(np.abs(v))))[1]
+        try:
+            norm = math.ldexp(float(np.linalg.norm(np.ldexp(v, -k))), k)
+        except OverflowError:
+            pass
+    return norm
+
+
 def _stationarity_distance(pen: PenaltySpec, beta: np.ndarray, u: np.ndarray,
                            lam: float) -> Optional[float]:
     """``dist_2(-u, lam * dOmega(beta))``; for a ball the distance from
@@ -353,11 +368,10 @@ def _stationarity_distance(pen: PenaltySpec, beta: np.ndarray, u: np.ndarray,
     weights = _l1_l2_weights(pen)
     if weights is not None:
         a, r = weights
-        return float(np.linalg.norm(
-            _l1_residual(beta, u + 2.0 * lam * r * beta, lam * a)))
+        return _norm(_l1_residual(beta, u + 2.0 * lam * r * beta, lam * a))
     if isinstance(pen, (GroupLasso, SparseGroupLasso)):
         split = _kkt_split(pen, beta, u, lam)
-        return math.hypot(*(float(np.linalg.norm(part))
+        return math.hypot(*(_norm(part)
                             for part in (split.coordinate, split.group)
                             if part is not None))
     ball = pen.ball
@@ -366,16 +380,14 @@ def _stationarity_distance(pen: PenaltySpec, beta: np.ndarray, u: np.ndarray,
         # at an upper one, {0} strictly inside
         low = np.where(beta <= ball.lower, -np.inf, 0.0)
         high = np.where(beta >= ball.upper, np.inf, 0.0)
-        return float(np.linalg.norm(
-            np.maximum(np.maximum(low + u, -u - high), 0.0)))
+        return _norm(np.maximum(np.maximum(low + u, -u - high), 0.0))
     if ball.norm == "l2":
-        norm = float(np.linalg.norm(beta))
+        norm = _norm(beta)
         if norm < ball.radius:
-            return float(np.linalg.norm(u))
+            return _norm(u)
         if norm == 0.0:  # the ball is the single point 0
             return 0.0
-        return float(np.linalg.norm(
-            u + max(0.0, -float(u @ beta)) / (norm * norm) * beta))
+        return _norm(u + max(0.0, -float(u @ beta)) / (norm * norm) * beta)
     return None
 
 

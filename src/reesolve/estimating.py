@@ -155,7 +155,9 @@ class LeastSquaresEstimating(EstimatingFunction):
     @property
     def gram(self) -> np.ndarray:
         if self._gram is None:
+            # read-only: it is handed out as the Jacobian at every beta
             self._gram = self.X.T @ self.X
+            self._gram.flags.writeable = False
         return self._gram
 
     def __call__(self, beta):

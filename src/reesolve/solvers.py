@@ -18,8 +18,10 @@ Six interchangeable methods over the same problem bundle:
   stepsizes and needs none.
 * ``solve_lqa_newton`` — the classical local-quadratic-approximation Newton
   baseline for elementwise penalties (lasso / SCAD), kept for comparison; it
-  requires Jacobians and solves a dense p-by-p linear system (one LU
-  factorization, O(p**3)) every iteration.
+  requires Jacobians and solves the p-by-p Newton system exactly every
+  iteration: by eliminating the coordinates whose weights dominate their
+  rows and one LU of the |L| light ones left, O(p**2 * |L|) + O(|L|**3),
+  or by one dense LU, O(p**3), when few weights dominate.
 
 Every first-order solver terminates on the fixed-point residual computed
 with its own stepsize; LQA terminates on the norm of its modified
@@ -451,6 +453,69 @@ def solve_gra_adaptive(problem: EstimatingProblem, config: SolverConfig,
                                          t_bar=config.t_bar))
 
 
+# A coordinate j of the LQA Newton matrix M = J + diag(w) is heavy when its
+# off-diagonal row mass is below this share of its pivot J_jj + w_j. Jacobi
+# on the heavy block then contracts by this factor per sweep: the diagonal
+# solve and two sweeps leave a relative error of 1e-18, below rounding.
+_HEAVY_RATIO = 1e-6
+_JACOBI_SWEEPS = 2
+
+
+def _off_diagonal_mass(J: np.ndarray) -> np.ndarray:
+    """``sum_{k != j} |J_jk|`` for every row j of a square matrix."""
+    mass = np.abs(J)
+    mass.flat[::J.shape[0] + 1] = 0.0
+    return mass.sum(axis=1)
+
+
+def _lqa_step(J: np.ndarray, w: np.ndarray, q: np.ndarray,
+              off: np.ndarray) -> np.ndarray:
+    """Solve ``(J + diag(w)) d = q`` exactly; ``off`` is
+    :func:`_off_diagonal_mass` of J, which is not written to.
+
+    The heavy coordinates H, those with ``off_j < _HEAVY_RATIO * |J_jj +
+    w_j|``, are eliminated: Jacobi sweeps solve ``M_HH`` for ``q_H`` and the
+    columns of ``J_HL`` together, one LU of the |L|-by-|L| Schur complement
+    ``S = M_LL - J_LH M_HH^-1 J_HL`` gives ``d_L``, and back substitution
+    ``d_H``. Each sweep is one product of the full J with a block that is
+    zero on L, so no submatrix of J is copied. As ``det M = det M_HH *
+    det S``, M is singular exactly when S is, and LU raises
+    :class:`numpy.linalg.LinAlgError` on either. The cost is O(p**2 * |L|)
+    + O(|L|**3). When more than p/9 coordinates are light (H empty
+    included), the sweeps' products cost nearly as much as a dense LU, and
+    the step is one LU solve of M, O(p**3). Nothing assumes J symmetric.
+    """
+    p = q.size
+    diag = J.diagonal()
+    pivot = diag + w
+    # strict, so a zero pivot is never heavy
+    heavy = off < _HEAVY_RATIO * np.abs(pivot)
+    light = np.flatnonzero(~heavy)
+    m = light.size
+    if 9 * m > p:
+        M = J.copy()
+        M.flat[::p + 1] += w
+        return np.linalg.solve(M, q)
+    # an infinite pivot on L keeps those rows of the sweeps at zero
+    pivot = np.where(heavy, pivot, np.inf)[:, None]
+    rhs = np.empty((p, m + 1))
+    rhs[:, 0] = q
+    rhs[:, 1:] = J[:, light]
+    block = rhs / pivot
+    for _ in range(_JACOBI_SWEEPS):
+        block = (rhs - J @ block + diag[:, None] * block) / pivot
+    if m == 0:
+        return block[:, 0]
+    # J_LH times [M_HH^-1 q_H | M_HH^-1 J_HL]
+    coupled = J[light] @ block
+    schur = rhs[light, 1:] - coupled[:, 1:]
+    schur.flat[::m + 1] += w[light]
+    d_light = np.linalg.solve(schur, q[light] - coupled[:, 0])
+    d = block[:, 0] - block[:, 1:] @ d_light
+    d[light] = d_light
+    return d
+
+
 def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
                      init) -> SolverReport:
     """Newton iteration on the locally quadratically approximated equations.
@@ -458,12 +523,17 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
     Supports only elementwise penalties (lasso or SCAD); the diagonal weights
     ``p'(|beta_j|)/(|beta_j| + epsilon)`` keep zero coordinates updatable.
     Each step solves ``(J_U(beta) + diag(weights)) d = q`` for the modified
-    stationarity vector ``q = U(beta) + weights * beta`` by one LU
-    factorization with partial pivoting — dense and O(p**3), which is the
-    method's documented cost bottleneck; not Cholesky, as the Jacobian need
-    not be symmetric. The residual is the norm of ``q``. On termination,
-    coordinates below ``config.zero_threshold`` in magnitude are truncated
-    to exactly zero (the method never produces exact zeros by itself).
+    stationarity vector ``q = U(beta) + weights * beta`` exactly, every
+    coordinate kept (:func:`_lqa_step`). The weight of a coordinate near
+    zero is about ``lam/epsilon`` and dominates its row, so such
+    coordinates are eliminated cheaply and one LU factors only the small
+    block left: O(p**2 * |L|) + O(|L|**3) for |L| light coordinates. When
+    few weights dominate, the step is one dense LU with partial pivoting,
+    O(p**3), the method's documented cost bottleneck; never Cholesky, as
+    the Jacobian need not be symmetric. The residual is the norm of ``q``.
+    On termination, coordinates below ``config.zero_threshold`` in
+    magnitude are truncated to exactly zero (the method never produces
+    exact zeros by itself).
     """
     pen = problem.penalty
     if not isinstance(pen, (Lasso, Scad)):
@@ -504,22 +574,24 @@ def solve_lqa_newton(problem: EstimatingProblem, config: SolverConfig,
             return finish(SolverStatus.CONVERGED, beta, r0)
 
         status = SolverStatus.MAX_ITER_REACHED
-        diag_idx = slice(0, p * p, p + 1)
+        J = off = None
         for _ in range(config.max_iter):
             # analytic when U has one, else finite differences on opt-in,
-            # whose probe points can meet a non-finite U; copied, because U
-            # may hand out a cached matrix
+            # whose probe points can meet a non-finite U; never written to,
+            # because U may hand out a cached matrix
             try:
-                M = jacobian(u_fn, beta,
-                             allow_fd=config.allow_fd_jacobian).copy()
+                jac = jacobian(u_fn, beta, allow_fd=config.allow_fd_jacobian)
             except NonFiniteOutputError:
                 status = SolverStatus.DIVERGED
                 break
-            M.flat[diag_idx] += w
+            # a read-only matrix handed out again (least squares' gram)
+            # cannot have changed, so its row sums are kept
+            if jac is not J or jac.flags.writeable:
+                J, off = jac, _off_diagonal_mass(jac)
             try:
-                # one LU solve (LAPACK gesv); its p**3 factorization is the
-                # cost this baseline is known for. M need not be symmetric
-                beta = beta - np.linalg.solve(M, q)
+                # exact block elimination, or one dense LU solve (LAPACK
+                # gesv) when few weights dominate; M need not be symmetric
+                beta = beta - _lqa_step(J, w, q, off)
             except np.linalg.LinAlgError:
                 run.flags = run.flags + ("singular-system",)
                 status = SolverStatus.NUMERICAL_FAILURE

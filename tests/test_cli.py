@@ -981,8 +981,10 @@ def test_overflowing_solve_prints_no_warnings(tmp_path, capsys, method,
 
 def _overflowing_lqa(tmp_path):
     """LQA's Newton step overflows on U = 1e-300 * I - 1e10: the run ends
-    diverged at [nan, inf]. The LU back substitution reaches the second
-    coordinate's inf first and then forms 0 * inf for the first one."""
+    diverged at [nan, nan]. Every coordinate is heavy (a huge weight next to
+    a zero off-diagonal), so the step is Jacobi sweeps, and the first sweep
+    multiplies the overflowed -inf step by J, whose zero off-diagonal forms
+    0 * inf in both coordinates."""
     np.savetxt(tmp_path / "A.csv", 1e-300 * np.eye(2), delimiter=",")
     np.savetxt(tmp_path / "b.csv", np.full(2, 1e10), delimiter=",")
     return ["--matrix", str(tmp_path / "A.csv"),
@@ -998,12 +1000,12 @@ def test_solve_non_finite_solution_gets_null_certificates(tmp_path, capsys):
     assert capsys.readouterr().out.count("not applicable") == 3
     report = json.loads(out.read_text())
     assert report["status"] == "diverged"
-    assert report["solution"] == ["nan", "inf"]
+    assert report["solution"] == ["nan", "nan"]
     assert set(report["certificates"].values()) == {None}
 
 
 def test_diverged_report_keeps_its_sentinels(tmp_path):
-    # the compact report of a run that ends at [nan, inf] is still strict
+    # the compact report of a run that ends at [nan, nan] is still strict
     # JSON: non-finite numbers are written as sentinel strings
     out = tmp_path / "r.json"
     assert main(["solve", "--lambda", "1e-300", "--out", str(out)]
@@ -1012,7 +1014,7 @@ def test_diverged_report_keeps_its_sentinels(tmp_path):
     assert "\n" not in text and "NaN" not in text and "Infinity" not in text
     report = json.loads(text)
     assert report["status"] == "diverged"
-    assert report["solution"] == ["nan", "inf"]
+    assert report["solution"] == ["nan", "nan"]
     assert report["trace"]["theta"] == [None] * report["iterations"]
 
 
@@ -1052,7 +1054,7 @@ def test_path_non_finite_solutions_write_every_report(tmp_path, capsys):
     rows = (out_dir / "path_summary.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[3:] for r in rows] == [["", "diverged"]] * 2
     coefs = (out_dir / "path_coefficients.csv").read_text().strip().splitlines()
-    assert [r.split(",")[1:] for r in coefs[1:]] == [["nan", "inf"]] * 2
+    assert [r.split(",")[1:] for r in coefs[1:]] == [["nan", "nan"]] * 2
 
 
 # patch -> report fields it replaces; a "certificates" dict is merged into

@@ -435,6 +435,19 @@ class TestViGap:
                                                                  rel=1e-14)
         assert not gap.passed
 
+    def test_lower_stays_finite_when_u_is_near_the_float_range(self):
+        # ||U(bh)|| = sqrt(2)*1e200 overflows when squared; the distance is
+        # recomputed scaled, so lower = -R*||U(bh)|| is finite
+        u = LinearEstimating(1e200 * np.eye(2), np.ones(2))
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.0)
+        bh = np.array([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = vi_gap(prob, bh, 1.0)
+        assert math.isfinite(gap.lower) and gap.lower <= gap.value
+        assert gap.lower == pytest.approx(-np.sqrt(2.0) * 1e200, rel=1e-14)
+        assert not gap.passed
+
     def test_zero_solution_reads_exactly_zero(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=15)
         above = EstimatingProblem(u=u, penalty=Lasso(), lam=2 * lambda_max(u))

@@ -50,7 +50,7 @@ from reesolve import (
     solve_picard,
     vi_probe,
 )
-from reesolve.solvers import _anderson_steps
+from reesolve.solvers import _anderson_steps, _lqa_step, _off_diagonal_mass
 
 
 def affine_problem(c, tau=0.5):
@@ -674,6 +674,48 @@ class TestLqaNewton:
         assert np.max(np.abs(beta0 - np.linalg.inv(sym + np.diag(w)) @ q
                              - newton)) > 0.5
 
+    def test_zero_pivot_is_a_singular_system(self):
+        # J = [[0]] at lambda 0: the pivot is 0, so the coordinate is light,
+        # and the dense solve refuses it without dividing by zero
+        u = LinearEstimating([[0.0]], [1.0])
+        prob = EstimatingProblem(u=u, penalty=Lasso(), lam=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_lqa_newton(prob, SolverConfig(), np.zeros(1))
+        assert rep.status is SolverStatus.NUMERICAL_FAILURE
+        assert rep.flags == ("singular-system",)
+
+    def test_singular_schur_complement_is_a_numerical_failure(self):
+        # SCAD leaves the two large coordinates unweighted, and their block
+        # [[1, 1], [1, 1]] is singular; the 18 zero coordinates are heavy
+        rng = np.random.default_rng(21)
+        p = 20
+        X = rng.standard_normal((50, p - 2)) / np.sqrt(50)
+        A = np.zeros((p, p))
+        A[:2, :2] = 1.0
+        A[2:, 2:] = X.T @ X
+        u = LinearEstimating(A, rng.standard_normal(p))
+        prob = EstimatingProblem(u=u, penalty=Scad(a=3.7), lam=0.1)
+        beta0 = np.zeros(p)
+        beta0[:2] = 10.0
+        rep = solve_lqa_newton(prob, SolverConfig(), beta0)
+        assert rep.status is SolverStatus.NUMERICAL_FAILURE
+        assert rep.flags == ("singular-system",)
+        assert rep.iterations == 0
+
+    def test_every_step_is_the_dense_newton_step(self):
+        X, y, u, lam, prob = lasso_ls_instance(seed=22)
+        cfg = SolverConfig(tol=1e-10, max_iter=500, record_iterates=True)
+        rep = solve_lqa_newton(prob, cfg, np.zeros(10))
+        assert rep.converged and rep.iterations > 5
+        steps = np.asarray(rep.iterates)
+        for before, after in zip(steps[:-1], steps[1:]):
+            w = lqa_weight_diag(Lasso(), before, lam, cfg.epsilon_lqa)
+            q = u(before) + w * before
+            dense = before - np.linalg.solve(X.T @ X + np.diag(w), q)
+            np.testing.assert_allclose(after, dense, rtol=1e-12,
+                                       atol=1e-12 * np.abs(dense).max())
+
     def test_truncation_to_exact_zero(self):
         X, y, u, lam, prob = lasso_ls_instance(seed=12)
         cfg = SolverConfig(tol=1e-11, max_iter=500, epsilon_lqa=1e-10,
@@ -681,6 +723,95 @@ class TestLqaNewton:
         rep = solve_lqa_newton(prob, cfg, np.zeros(10))
         assert rep.converged
         assert np.count_nonzero(rep.solution) < 10
+
+
+def _spy_solve(monkeypatch):
+    """Record the shape of every system ``np.linalg.solve`` is handed."""
+    shapes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return shapes
+
+
+def _newton_system(seed, p, skew=False):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((p, p)) / np.sqrt(p)
+    J = G @ G.T
+    if skew:
+        Z = rng.standard_normal((p, p))
+        J = J + (Z - Z.T) / np.sqrt(p)
+    return J, rng.standard_normal(p)
+
+
+def _backward_error(M, d, q):
+    """Componentwise backward error ``max_i |M d - q|_i / (|M| |d| + |q|)_i``."""
+    scale = np.abs(M) @ np.abs(d) + np.abs(q)
+    return float(np.max(np.abs(M @ d - q) / scale))
+
+
+class TestLqaStep:
+    def test_no_heavy_coordinate_is_the_dense_solve(self, monkeypatch):
+        J, q = _newton_system(0, 12, skew=True)
+        w = np.full(12, 0.5)
+        expected = np.linalg.solve(J + np.diag(w), q)
+        shapes = _spy_solve(monkeypatch)
+        d = _lqa_step(J, w, q, _off_diagonal_mass(J))
+        assert shapes == [(12, 12)]
+        np.testing.assert_array_equal(d, expected)
+
+    def test_every_coordinate_heavy_needs_no_factorization(self, monkeypatch):
+        # the start beta = 0 weights every coordinate with lam / epsilon
+        J, q = _newton_system(1, 30, skew=True)
+        w = np.full(30, 0.3 / 1e-8)
+        expected = np.linalg.solve(J + np.diag(w), q)
+        shapes = _spy_solve(monkeypatch)
+        d = _lqa_step(J, w, q, _off_diagonal_mass(J))
+        assert shapes == []
+        np.testing.assert_allclose(d, expected, rtol=1e-14, atol=0)
+
+    def test_one_light_coordinate_factors_one_by_one(self, monkeypatch):
+        J, q = _newton_system(2, 30, skew=True)
+        w = np.full(30, 1e9)
+        w[7] = 0.0
+        M = J + np.diag(w)
+        expected = np.linalg.solve(M, q)
+        shapes = _spy_solve(monkeypatch)
+        d = _lqa_step(J, w, q, _off_diagonal_mass(J))
+        assert shapes == [(1, 1)]
+        np.testing.assert_allclose(d, expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 60),
+           skew=st.booleans(),
+           light=st.lists(st.tuples(st.integers(0, 59),
+                                    st.sampled_from(["zero", "unit", "mid"])),
+                          max_size=8))
+    def test_backward_error_is_that_of_lu(self, seed, p, skew, light):
+        # weights of 1e7 ... 1e12, a few of them replaced by 0, O(1) or
+        # 1 ... 1e7: systems run from all heavy through a few light
+        # coordinates (the Schur step) to one dense LU
+        J, q = _newton_system(seed, p, skew)
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(7.0, 12.0, p)
+        for j, kind in light:
+            if j < p:
+                w[j] = {"zero": 0.0, "unit": rng.uniform(0.1, 2.0),
+                        "mid": 10.0 ** rng.uniform(0.0, 7.0)}[kind]
+        M = J + np.diag(w)
+        try:
+            lu = np.linalg.solve(M, q)
+        except np.linalg.LinAlgError:
+            assume(False)
+        d = _lqa_step(J, w, q, _off_diagonal_mass(J))
+        # LU's own error can be exactly 0 (p = 1), hence the floor of eps
+        eps = np.finfo(float).eps
+        assert _backward_error(M, d, q) <= 10.0 * max(
+            _backward_error(M, lu, q), eps)
 
 
 class TestConstrained:
